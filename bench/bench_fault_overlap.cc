@@ -37,9 +37,8 @@ double RunEngine(bool coop, uint32_t concurrency, uint64_t ops, uint64_t data_by
                  uint64_t cache_bytes, uint32_t seed) {
   auto device = MakeNvme(data_bytes);
   Aquila::Options options = AquilaOptions(cache_bytes);
-  // Both engines run over the async pipeline so the only difference is
+  // Both engines run over the same async pipeline; the only difference is
   // parking at the fault versus blocking in it.
-  options.async_writeback = true;
   options.coop_sched = coop;
   auto runtime = std::make_unique<Aquila>(options);
   DeviceBacking backing(device->direct, 0, data_bytes);

@@ -150,11 +150,10 @@ inline ShootdownMaskMode ParseShootdownMode(const char* s, ShootdownMaskMode fal
   return fallback;
 }
 
-// Standard Aquila runtime for a given cache size. The async overlapped
-// writeback/readahead pipeline (Options::async_writeback) is off by default,
-// matching the library default; set AQUILA_ASYNC_WRITEBACK=1 to turn it on
-// for any benchmark, and AQUILA_ASYNC_QUEUE_DEPTH=<n> to size the
-// per-mapping device queue (default 32). AQUILA_SHOOTDOWN_MODE
+// Standard Aquila runtime for a given cache size. Every mapping writes back
+// and reads ahead through the async device-queue pipeline (DESIGN.md §9);
+// AQUILA_ASYNC_QUEUE_DEPTH=<n> sizes its per-mapping device queue (default
+// 32; 1 keeps a single request in flight). AQUILA_SHOOTDOWN_MODE
 // (broadcast|mask|mask+gen|reuse) overrides the shootdown IPI targeting
 // policy (default mask+gen, the library default; reuse adds the deferred
 // same-owner elision of DESIGN.md §10). Observability knobs:
@@ -164,10 +163,6 @@ inline ShootdownMaskMode ParseShootdownMode(const char* s, ShootdownMaskMode fal
 // /traces and /slow on 127.0.0.1:<p> (0 picks an ephemeral port).
 inline Aquila::Options AquilaOptions(uint64_t cache_bytes, int active_cores = 0) {
   Aquila::Options options;
-  if (const char* async = std::getenv("AQUILA_ASYNC_WRITEBACK");
-      async != nullptr && *async != '\0' && *async != '0') {
-    options.async_writeback = true;
-  }
   options.shootdown_mask_mode = ParseShootdownMode(std::getenv("AQUILA_SHOOTDOWN_MODE"),
                                                    options.shootdown_mask_mode);
   if (const char* depth = std::getenv("AQUILA_ASYNC_QUEUE_DEPTH"); depth != nullptr) {
@@ -191,13 +186,12 @@ inline Aquila::Options AquilaOptions(uint64_t cache_bytes, int active_cores = 0)
     options.hedge_reads = true;
   }
   // Cooperative fault scheduling: AQUILA_COOP_SCHED=1 parks batch requests
-  // at fault-path wait points and overlaps their fills (requires the async
-  // pipeline, which it turns on); unset keeps the blocking path bit-identical.
+  // at fault-path wait points and overlaps their fills; unset keeps the
+  // blocking fault path.
   // AQUILA_SCHED_MAX_PARKED=<n> caps each core's parked table (default 64).
   if (const char* coop = std::getenv("AQUILA_COOP_SCHED");
       coop != nullptr && *coop != '\0' && *coop != '0') {
     options.coop_sched = true;
-    options.async_writeback = true;
   }
   if (const char* parked = std::getenv("AQUILA_SCHED_MAX_PARKED"); parked != nullptr) {
     int n = std::atoi(parked);
@@ -379,7 +373,7 @@ class BenchJsonWriter {
     // The knobs that change what a benchmark measures; unset ones are
     // omitted so a diff flags configuration drift between two runs.
     static const char* const kKnobs[] = {
-        "AQUILA_BENCH_SCALE",       "AQUILA_ASYNC_WRITEBACK", "AQUILA_ASYNC_QUEUE_DEPTH",
+        "AQUILA_BENCH_SCALE",       "AQUILA_ASYNC_QUEUE_DEPTH",
         "AQUILA_SHOOTDOWN_MODE",    "AQUILA_SPAN_SAMPLE",     "AQUILA_SLOW_TRACE_US",
         "AQUILA_STATS_PORT",        "AQUILA_FAULT_SEED",      "AQUILA_FAULT_READ_ERR",
         "AQUILA_FAULT_WRITE_ERR",   "AQUILA_DEVICE_TIMEOUT_US", "AQUILA_HEDGE_READS",

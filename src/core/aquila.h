@@ -114,15 +114,13 @@ class Aquila : public MmioEngine {
     // budget) before a mapping degrades to read-only. Mirrors how the
     // kernel remounts a filesystem read-only after repeated EIO.
     uint32_t writeback_failure_limit = 3;
-    // Asynchronous overlapped writeback/readahead: eviction submits its
-    // offset-sorted dirty batch on the backing device's queue and continues
-    // fault handling while the device works; dirty frames sit in
-    // kWritingBack until their completions reap on the fault path. Devices
-    // without queueing fall back to a synchronous-emulation shim (same
-    // semantics, no overlap). Off by default: writeback completes
-    // synchronously exactly as before.
-    bool async_writeback = false;
-    // Per-mapping device queue depth for the async engine.
+    // Per-mapping device queue depth of the writeback/readahead pipeline
+    // (DESIGN.md §9). Eviction submits its offset-sorted dirty batch on the
+    // backing device's queue and continues fault handling while the device
+    // works; dirty frames sit in kWritingBack until their completions reap
+    // on the fault path. Devices without queueing get a synchronous-
+    // emulation shim (same semantics, no overlap). A depth of 1 keeps one
+    // request in flight: each submission first waits out the previous one.
     uint32_t async_queue_depth = 32;
     // Completion watchdog for async device ops (sim-clock driven). 0
     // (default) keeps the raw device queue — no watchdog state on the hot
@@ -142,11 +140,9 @@ class Aquila : public MmioEngine {
     // submitted through MemoryMap::SubmitBatch park at fault-path wait
     // points (in-flight fill, kWritingBack pin, demand device read) instead
     // of blocking, and resume as async completions are harvested — turning
-    // device queue depth into per-core request throughput. Requires
-    // async_writeback. Off by default: the fault path never consults the
-    // scheduler (one null-context branch), SubmitBatch degrades to the
-    // synchronous loop, and sim metrics are bit-identical to pre-scheduler
-    // builds.
+    // device queue depth into per-core request throughput. Off by default:
+    // the fault path never consults the scheduler (one null-context branch)
+    // and SubmitBatch degrades to the synchronous loop.
     bool coop_sched = false;
     // Per-core cap on simultaneously parked requests; a park attempt past
     // the cap falls back to the blocking protocol for that access.
@@ -219,8 +215,8 @@ class Aquila : public MmioEngine {
   StatusOr<uint64_t> ShrinkCache(uint64_t remove_bytes);
 
   // Reaps ready async writeback/fill completions across every mapping;
-  // returns the number of frames released to the freelist. No-op (returns 0)
-  // when async writeback is off. See HarvestMode for the idle behavior.
+  // returns the number of frames released to the freelist. See HarvestMode
+  // for the idle behavior.
   size_t HarvestAsyncWritebacks(Vcpu& vcpu, HarvestMode mode = HarvestMode::kPoll);
 
   // --- Introspection ----------------------------------------------------------

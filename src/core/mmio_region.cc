@@ -40,10 +40,8 @@ AquilaMap::AquilaMap(Aquila* runtime, Backing* backing, uint64_t length, int pro
   vma_.prot = prot;
   vma_.mapping_id = runtime_->next_mapping_id_.fetch_add(1, std::memory_order_relaxed);
   vma_.backing = this;
-  if (runtime_->options().async_writeback) {
-    engine_ = std::make_unique<AsyncWritebackEngine>(runtime_, this,
-                                                     runtime_->options().async_queue_depth);
-  }
+  engine_ = std::make_unique<AsyncWritebackEngine>(runtime_, this,
+                                                   runtime_->options().async_queue_depth);
 }
 
 Status AquilaMap::Install() {
@@ -71,9 +69,7 @@ Status AquilaMap::TearDown() {
   // Reap every async writeback/fill still in flight: completions free their
   // frames or restore failures dirty-in-place, where the sweep below
   // re-collects them for the final synchronous pass.
-  if (engine_ != nullptr) {
-    (void)engine_->Drain(vcpu);
-  }
+  (void)engine_->Drain(vcpu);
 
   // Huge spans split back to 4K first: the sweep below removes PTEs page by
   // page, and Remove() on a vaddr covered by a 2 MB leaf no-ops — it would
@@ -98,7 +94,7 @@ Status AquilaMap::TearDown() {
     while (!f.state.compare_exchange_weak(expected, FrameState::kEvicting,
                                           std::memory_order_acq_rel)) {
       if (expected != FrameState::kResident) {
-        if (engine_ != nullptr && expected == FrameState::kWritingBack) {
+        if (expected == FrameState::kWritingBack) {
           // A concurrent evictor submitted this page between our drain and
           // the claim; reap until its completion resolves the frame.
           (void)engine_->WaitOne(vcpu);
@@ -140,10 +136,11 @@ Status AquilaMap::TearDown() {
   // (the region id dies with the mapping): fold them into the final batch.
   runtime_->tlb().DrainDeferredRegion(vma_.mapping_id, &vpns);
   runtime_->ShootdownPages(vcpu, vpns);
-  int core = vcpu.core();
-  for (FrameId frame : frames) {
-    cache.FreeFrame(core, frame);
-  }
+  // One batched free to the NUMA level, like promotion's retire: a whole
+  // mapping's frames freed one by one would settle in this core's queue,
+  // where no other core can allocate them — and a thread that unmaps and
+  // exits would strand them there for good.
+  cache.FreeFrames(vcpu.core(), frames.data(), static_cast<uint32_t>(frames.size()));
   if (transparent_base_ != nullptr) {
     TrapDriver::ReleaseRange(transparent_base_, vma_.page_count * kPageSize);
     transparent_base_ = nullptr;
@@ -173,18 +170,14 @@ Status AquilaMap::RearmWriteback() {
   return Status::Ok();
 }
 
-void AquilaMap::RestoreDirtyFrame(Vcpu& vcpu, FrameId frame, uint64_t sort_key,
-                                  bool reinsert_mapping) {
+void AquilaMap::RestoreDirtyFrame(Vcpu& vcpu, FrameId frame, uint64_t sort_key) {
   // The frame was claimed for writeback (PTE removed, dirty bit cleared) but
   // its data never reached the device. Dropping it would be silent
   // corruption, so put it back: the next access takes a minor fault and the
-  // next writeback retries. The synchronous path removed the cache mapping
-  // when claiming and re-inserts it here; the async path kept it.
+  // next writeback retries. The claim kept the cache mapping, so only the
+  // dirty bit and the state need restoring.
   PageCache& cache = runtime_->cache();
   Frame& f = cache.frame(frame);
-  if (reinsert_mapping) {
-    AQUILA_CHECK(cache.InsertMapping(f.key.load(std::memory_order_relaxed), frame));
-  }
   cache.MarkDirty(vcpu.core(), frame, sort_key);
   f.referenced.store(1, std::memory_order_relaxed);
   f.state.store(FrameState::kResident, std::memory_order_release);
@@ -353,6 +346,43 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
   {
     SpinBackoff backoff;
     while (true) {
+      // Fills for this key are submitted only under the entry lock we hold,
+      // so none can start from here on. A zero in-flight count read BEFORE
+      // the lookup therefore makes a miss final: any fill that finished
+      // published into the hash before its release decrement. Only a
+      // non-zero count pays for the engine handshake below.
+      const bool fills_pending = engine_->fills_in_flight() > 0;
+      AQUILA_RACE_POINT("core.fault.fill_gate");
+      bool drained = false;
+      if (fills_pending) {
+        // An async read-ahead fill for this page may be in flight —
+        // invisible until its completion publishes it into the hash. Wait
+        // it out instead of issuing a duplicate device read; afterwards the
+        // single lookup below is final again.
+        if (coop != nullptr && coop->sched != nullptr && engine_->HasPendingFill(key)) {
+          // Park point (a): someone else's fill is in flight for this page.
+          // Reserve the parked-table entry FIRST, then re-check — the
+          // completion's Wake runs under the engine lock we re-take in
+          // HasPendingFill, so a completion that raced the reservation is
+          // visible to the re-check and we cancel instead of sleeping on a
+          // wake that already happened.
+          uint64_t token = coop->sched->PrePark(key, kInvalidFrame);
+          if (token != 0) {
+            if (engine_->HasPendingFill(key)) {
+              telemetry::ChildSpan park_span(vcpu.clock(), telemetry::SpanPhase::kPark, vaddr);
+              coop->sched->CommitPark(token);
+              coop->token = token;
+              coop->parked = true;
+              return kInvalidFrame;
+            }
+            coop->sched->CancelPark(token);
+          }
+          // Published (or failed) already, or the parked table is full:
+          // the blocking wait below reaps whatever is left.
+        }
+        telemetry::ChildSpan wait_span(vcpu.clock(), telemetry::SpanPhase::kQueueWait);
+        drained = engine_->AwaitFills(vcpu, file_page, file_page);
+      }
       bool found;
       {
         telemetry::ChildSpan lookup_span(vcpu.clock(), telemetry::SpanPhase::kCacheLookup);
@@ -360,57 +390,13 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
         found = cache.Lookup(key, &frame);
       }
       if (!found) {
-        if (engine_ != nullptr) {
-          // An async read-ahead fill for this page may be in flight —
-          // invisible until its completion publishes it into the hash. Wait
-          // it out instead of issuing a duplicate device read, then re-check:
-          // the fill may also have been published by a concurrent harvester
-          // between our lookup and the engine lock.
-          if (coop != nullptr && coop->sched != nullptr &&
-              engine_->HasPendingFill(key)) {
-            // Park point (a): someone else's fill is in flight for this page.
-            // Reserve the parked-table entry FIRST, then re-check — the
-            // completion's Wake runs under the engine lock we re-take in
-            // HasPendingFill, so a completion that raced the reservation is
-            // visible to the re-check and we cancel instead of sleeping on a
-            // wake that already happened.
-            uint64_t token = coop->sched->PrePark(key, kInvalidFrame);
-            if (token != 0) {
-              if (engine_->HasPendingFill(key)) {
-                telemetry::ChildSpan park_span(vcpu.clock(),
-                                               telemetry::SpanPhase::kPark, vaddr);
-                coop->sched->CommitPark(token);
-                coop->token = token;
-                coop->parked = true;
-                return kInvalidFrame;
-              }
-              coop->sched->CancelPark(token);
-              continue;  // published (or failed) already; re-run the lookup
-            }
-            // Parked table full: fall through to the blocking wait.
-          }
-          bool drained;
-          {
-            telemetry::ChildSpan wait_span(vcpu.clock(), telemetry::SpanPhase::kQueueWait);
-            drained = engine_->AwaitFill(vcpu, key);
-          }
-          bool hit;
-          {
-            telemetry::ChildSpan lookup_span(vcpu.clock(), telemetry::SpanPhase::kCacheLookup);
-            ScopedMeasure measure(vcpu.clock(), CostCategory::kCacheMgmt);
-            hit = cache.Lookup(key, &frame);
-          }
-          if (hit) {
-            if (drained && advice_.load(std::memory_order_relaxed) == Advice::kSequential) {
-              // Landing on a page we had to wait for means the stream caught
-              // up with the prefetcher: re-arm the window now (the minor-
-              // fault path below won't), like the kernel's readahead marker.
-              (void)ReadAhead(vcpu, file_page);
-            }
-            continue;
-          }
-        }
         break;
+      }
+      if (drained && advice_.load(std::memory_order_relaxed) == Advice::kSequential) {
+        // Landing on a page we had to wait for means the stream caught up
+        // with the prefetcher: re-arm the window now (the minor-fault path
+        // below won't), like the kernel's readahead marker.
+        (void)ReadAhead(vcpu, file_page);
       }
       Frame& f = cache.frame(frame);
       FrameState expected = FrameState::kResident;
@@ -452,7 +438,7 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
             fault_start, vaddr));
         return frame;
       }
-      if (engine_ != nullptr && expected == FrameState::kWritingBack) {
+      if (expected == FrameState::kWritingBack) {
         if (coop != nullptr && coop->sched != nullptr) {
           // Park point (b): an async writeback owns this frame; its
           // completion Wakes every parked entry for the key (non-terminal).
@@ -487,8 +473,8 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
   }
 
   // Major fault: allocate a frame, evicting when the cache is full (§3.2:
-  // batch of 512 — written back synchronously, or submitted to the device
-  // queue with completions reaped as fault handling continues).
+  // batch of 512, submitted to the device queue with completions reaped as
+  // fault handling continues).
   ReuseStamp stamp;
   while (true) {
     {
@@ -526,7 +512,7 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
   // failure backstop below a single call. A cooperative demand fill forgoes
   // elision: its fill completes in CompleteLocked, where the failure
   // backstop below cannot run (same reason read-ahead fills never elide).
-  const bool coop_fill = coop != nullptr && coop->sched != nullptr && engine_ != nullptr;
+  const bool coop_fill = coop != nullptr && coop->sched != nullptr;
   const bool elided = runtime_->ResolveReuseStamp(vcpu, stamp, frame, page,
                                                   vma_.mapping_id,
                                                   /*allow_elide=*/!coop_fill);
@@ -639,15 +625,9 @@ Status AquilaMap::ReadAhead(Vcpu& vcpu, uint64_t file_page) {
   telemetry::ChildSpan readahead_span(vcpu.clock(), telemetry::SpanPhase::kReadahead, file_page);
   PageCache& cache = runtime_->cache();
   uint32_t window = runtime_->options().readahead_pages;
-  std::vector<uint64_t> offsets;
-  std::vector<uint8_t*> buffers;
-  std::vector<FrameId> frames;
-  std::vector<uint64_t> pages;
-
   uint64_t first = file_page + 1;
   const uint64_t last = file_page + window;
-  const bool track_stream =
-      engine_ != nullptr && advice_.load(std::memory_order_relaxed) == Advice::kSequential;
+  const bool track_stream = advice_.load(std::memory_order_relaxed) == Advice::kSequential;
   if (track_stream) {
     // Async fills are invisible to the hash until published; start past the
     // high-water mark so a re-armed window extends the stream instead of
@@ -703,25 +683,18 @@ Status AquilaMap::ReadAhead(Vcpu& vcpu, uint64_t file_page) {
     // No translation yet: the actual access takes a minor fault. vaddr == 0
     // is also what marks the frame evictable without the entry lock.
     f.vaddr.store(0, std::memory_order_relaxed);
-    if (engine_ != nullptr) {
-      // Async fill: the frame stays kFilling — invisible to evictors and to
-      // Lookup — until its completion publishes it into the hash. The fault
-      // that wanted the page either finds it published (minor fault) or
-      // waits out the in-flight fill (AwaitFill) rather than duplicating the
-      // read. Submitting under the page's entry lock is what makes that
-      // handshake race-free.
-      Status status = engine_->SubmitFill(vcpu, frame, key, next_file_page * kPageSize);
-      UnlockPage(page);
-      if (!status.ok()) {
-        cache.FreeFrame(vcpu.core(), frame);
-        return status;
-      }
-      continue;
+    // Async fill: the frame stays kFilling — invisible to evictors and to
+    // Lookup — until its completion publishes it into the hash. The fault
+    // that wanted the page either finds it published (minor fault) or waits
+    // out the in-flight fill (AwaitFills) rather than duplicating the read.
+    // Submitting under the page's entry lock is what makes that handshake
+    // race-free.
+    Status status = engine_->SubmitFill(vcpu, frame, key, next_file_page * kPageSize);
+    UnlockPage(page);
+    if (!status.ok()) {
+      cache.FreeFrame(vcpu.core(), frame);
+      return status;
     }
-    offsets.push_back(next_file_page * kPageSize);
-    buffers.push_back(cache.FrameData(vcpu, frame));
-    frames.push_back(frame);
-    pages.push_back(page);
   }
   if (track_stream) {
     uint64_t seen = next_readahead_.load(std::memory_order_relaxed);
@@ -730,26 +703,7 @@ Status AquilaMap::ReadAhead(Vcpu& vcpu, uint64_t file_page) {
                                                   std::memory_order_relaxed)) {
     }
   }
-  if (frames.empty()) {
-    return Status::Ok();
-  }
-
-  Status status = backing_->ReadPages(vcpu, offsets, buffers, kPageSize);
-  for (size_t i = 0; i < frames.size(); i++) {
-    Frame& f = cache.frame(frames[i]);
-    if (status.ok()) {
-      AQUILA_CHECK(cache.InsertMapping(f.key.load(std::memory_order_relaxed), frames[i]));
-      f.state.store(FrameState::kResident, std::memory_order_release);
-    } else {
-      cache.FreeFrame(vcpu.core(), frames[i]);
-    }
-    UnlockPage(pages[i]);
-  }
-  if (status.ok()) {
-    runtime_->fault_stats().readahead_pages.fetch_add(frames.size(),
-                                                      std::memory_order_relaxed);
-  }
-  return status;
+  return Status::Ok();
 }
 
 StatusOr<size_t> AquilaMap::EvictBatch(Vcpu& vcpu) {
@@ -759,7 +713,6 @@ StatusOr<size_t> AquilaMap::EvictBatch(Vcpu& vcpu) {
   AQUILA_TELEMETRY_ONLY(const uint64_t evict_start = vcpu.clock().Now());
   // One child for the whole batch; writeback/shootdown below nest under it.
   telemetry::ChildSpan evict_span(vcpu.clock(), telemetry::SpanPhase::kEvict);
-  const bool async = runtime_->options().async_writeback;
 
   std::vector<FrameId> victims(cache.eviction_batch());
   size_t n;
@@ -772,7 +725,6 @@ StatusOr<size_t> AquilaMap::EvictBatch(Vcpu& vcpu) {
   }
 
   WritebackPlanner planner;
-  std::vector<uint64_t> locked_dirty_pages;
   std::vector<PageShootdown> vpns;
   std::vector<FrameId> to_free;
   vpns.reserve(n);
@@ -830,17 +782,12 @@ StatusOr<size_t> AquilaMap::EvictBatch(Vcpu& vcpu) {
         planner.Add(WritebackItem{f.dirty_item.sort_key, file_offset,
                                   cache.FrameData(vcpu, frame), owner->backing_, frame,
                                   owner});
-        if (async) {
-          // Async claim: the cache mapping stays so a faulter finds the frame
-          // and waits out kWritingBack instead of re-reading a page the
-          // device has not acknowledged. The entry lock drops now — the
-          // state alone guards the frame until its completion reaps.
-          f.state.store(FrameState::kWritingBack, std::memory_order_release);
-          UnlockPage(page);
-        } else {
-          cache.RemoveMapping(fkey);
-          locked_dirty_pages.push_back(page);  // stays locked until written
-        }
+        // The cache mapping stays so a faulter finds the frame and waits out
+        // kWritingBack instead of re-reading a page the device has not
+        // acknowledged. The entry lock drops now — the state alone guards
+        // the frame until its completion reaps.
+        f.state.store(FrameState::kWritingBack, std::memory_order_release);
+        UnlockPage(page);
       } else {
         // Clean page: stays on the batched shootdown even under kReuseElide.
         // Bulk eviction recycles frames across owners almost always once
@@ -861,38 +808,15 @@ StatusOr<size_t> AquilaMap::EvictBatch(Vcpu& vcpu) {
   if (!planner.empty()) {
     telemetry::ChildSpan wb_span(vcpu.clock(), telemetry::SpanPhase::kWriteback,
                                  planner.size());
-    if (async) {
-      // Submit the offset-sorted batch: the device works while fault
-      // handling continues; completions reap on later faults (or in
-      // HarvestAsyncWritebacks when allocation stalls). A submission-
-      // machinery rejection is not a fault error: SubmitAsync already
-      // restored every rejected frame dirty-in-place and charged its owner,
-      // so the round just makes less progress — and the shootdown plus
-      // clean-frame release below must still run, because every victim's
-      // PTE (clean or dirty, submitted or restored) is already gone.
-      (void)planner.SubmitAsync(vcpu);
-    } else {
-      Status status = planner.SubmitSync(vcpu);
-      NoteWritebackResult(status);
-      if (status.ok()) {
-        stats.writeback_pages.fetch_add(planner.size(), std::memory_order_relaxed);
-        for (const WritebackItem& item : planner.items()) {
-          to_free.push_back(item.frame);
-        }
-      } else {
-        // The device rejected the batch even after its retry budget. The
-        // victims return to the cache dirty; eviction makes less progress
-        // this round and the fault path may retry with other victims.
-        // (Degradation is charged to the mapping driving the eviction, like
-        // reclaim-context EIO on Linux.)
-        for (const WritebackItem& item : planner.items()) {
-          RestoreDirtyFrame(vcpu, item.frame, item.sort_key, /*reinsert_mapping=*/true);
-        }
-      }
-      for (uint64_t page : locked_dirty_pages) {
-        UnlockPage(page);
-      }
-    }
+    // Submit the offset-sorted batch: the device works while fault handling
+    // continues; completions reap on later faults (or in
+    // HarvestAsyncWritebacks when allocation stalls). A submission-machinery
+    // rejection is not a fault error: SubmitAsync already restored every
+    // rejected frame dirty-in-place and charged its owner, so the round just
+    // makes less progress — and the shootdown plus clean-frame release below
+    // must still run, because every victim's PTE (clean or dirty, submitted
+    // or restored) is already gone.
+    (void)planner.SubmitAsync(vcpu);
   }
 
   // One batched shootdown for the whole eviction (§4.1); the masked path
@@ -1059,7 +983,7 @@ void AquilaMap::CoopStep(Vcpu& vcpu, CoreScheduler* sched, CoreScheduler::Task* 
 
 Status AquilaMap::SubmitBatch(std::span<const MmioRequest> requests) {
   SchedRegistry* registry = runtime_->sched();
-  if (registry == nullptr || engine_ == nullptr) {
+  if (registry == nullptr) {
     return MemoryMap::SubmitBatch(requests);  // synchronous fallback
   }
   CoreScheduler* sched = registry->ForCore(ThisVcpu().core());
@@ -1071,7 +995,7 @@ Status AquilaMap::SubmitBatch(std::span<const MmioRequest> requests) {
 
 size_t AquilaMap::Poll(std::span<MmioCompletion> out) {
   SchedRegistry* registry = runtime_->sched();
-  if (registry == nullptr || engine_ == nullptr) {
+  if (registry == nullptr) {
     return MemoryMap::Poll(out);
   }
   if (out.empty()) {
@@ -1114,7 +1038,7 @@ Status AquilaMap::Sync(uint64_t offset, uint64_t length) {
   // every in-flight writeback of this mapping. Failures restore their pages
   // dirty, the collection below re-claims them, and the synchronous pass
   // surfaces the EIO.
-  if (engine_ != nullptr) {
+  {
     telemetry::ChildSpan drain_span(vcpu.clock(), telemetry::SpanPhase::kQueueWait);
     (void)engine_->Drain(vcpu);
   }
@@ -1220,7 +1144,7 @@ Status AquilaMap::Sync(uint64_t offset, uint64_t length) {
     telemetry::ChildSpan wait_span(vcpu.clock(), telemetry::SpanPhase::kQueueWait);
     return engine_->AwaitWritebacks(vcpu, first_page, last_page);
   };
-  while (engine_ != nullptr && await_in_range()) {
+  while (await_in_range()) {
     telemetry::ChildSpan collect_span(vcpu.clock(), telemetry::SpanPhase::kDirtyTrack);
     collect_and_claim();
   }
@@ -1297,7 +1221,6 @@ Status AquilaMap::Advise(uint64_t offset, uint64_t length, Advice advice) {
     case Advice::kDontNeed: {
       uint64_t first = offset >> kPageShift;
       uint64_t last = std::min((offset + length - 1) >> kPageShift, vma_.page_count - 1);
-      const bool async = engine_ != nullptr;
       const bool reuse_defer =
           runtime_->options().shootdown_mask_mode == ShootdownMaskMode::kReuseElide;
       WritebackPlanner planner;
@@ -1307,7 +1230,6 @@ Status AquilaMap::Advise(uint64_t offset, uint64_t length, Advice advice) {
         ReuseStamp stamp;
       };
       std::vector<FreeSlot> to_free;
-      std::vector<uint64_t> locked_pages;
       for (uint64_t file_page = first; file_page <= last; file_page++) {
         uint64_t page = vma_.start_page + file_page;
         Vma* vma;
@@ -1358,15 +1280,10 @@ Status AquilaMap::Advise(uint64_t offset, uint64_t length, Advice advice) {
           cache.ClearDirty(frame);
           planner.Add(WritebackItem{f.dirty_item.sort_key, file_page * kPageSize,
                                     cache.FrameData(vcpu, frame), backing_, frame, this});
-          if (async) {
-            // As in eviction: the cache mapping stays so a re-fault waits out
-            // kWritingBack; the completion drops the mapping and the frame.
-            f.state.store(FrameState::kWritingBack, std::memory_order_release);
-            UnlockPage(page);
-          } else {
-            cache.RemoveMapping(key);
-            locked_pages.push_back(page);
-          }
+          // As in eviction: the cache mapping stays so a re-fault waits out
+          // kWritingBack; the completion drops the mapping and the frame.
+          f.state.store(FrameState::kWritingBack, std::memory_order_release);
+          UnlockPage(page);
         } else {
           cache.RemoveMapping(key);
           ReuseStamp stamp;
@@ -1388,28 +1305,7 @@ Status AquilaMap::Advise(uint64_t offset, uint64_t length, Advice advice) {
       }
       Status wb_status = Status::Ok();
       if (!planner.empty()) {
-        if (async) {
-          wb_status = planner.SubmitAsync(vcpu);
-        } else {
-          wb_status = planner.SubmitSync(vcpu);
-          NoteWritebackResult(wb_status);
-          if (wb_status.ok()) {
-            runtime_->fault_stats().writeback_pages.fetch_add(planner.size(),
-                                                              std::memory_order_relaxed);
-            for (const WritebackItem& item : planner.items()) {
-              to_free.push_back({item.frame, ReuseStamp{}});
-            }
-          } else {
-            // Failed pages stay cached and dirty; madvise reports the EIO but
-            // the clean pages below are still dropped.
-            for (const WritebackItem& item : planner.items()) {
-              RestoreDirtyFrame(vcpu, item.frame, item.sort_key, /*reinsert_mapping=*/true);
-            }
-          }
-          for (uint64_t page : locked_pages) {
-            UnlockPage(page);
-          }
-        }
+        wb_status = planner.SubmitAsync(vcpu);
       }
       runtime_->ShootdownPages(vcpu, vpns);
       for (const FreeSlot& slot : to_free) {
@@ -1429,6 +1325,11 @@ void AquilaMap::FaultAround(Vcpu& vcpu, uint64_t file_page) {
     return;
   }
   PageCache& cache = runtime_->cache();
+  if (engine_->fills_in_flight() > 0) {
+    // Readahead fills (e.g. the ones this fault just submitted) stay out of
+    // the hash until reaped: publish the ready ones so they map below.
+    (void)engine_->Harvest(vcpu);
+  }
   // Forward window, clamped to this 2 MB span (like Linux's PMD-bounded
   // fault-around) and to the mapping.
   const uint64_t span_end = (SpanOf(file_page) + 1) * kSpanPages;
@@ -1565,27 +1466,25 @@ bool AquilaMap::TryPromote(Vcpu& vcpu, uint64_t span) {
     }
   }
 
-  // (2) Claim every resident page of the span; abort on anything in flight
-  // (pending fill, writeback, eviction) or dirty — the 2 MB leaf is
-  // read-only, so promoting over a dirty 4K page would lose its dirtiness.
+  // (2) Reap the span's in-flight fills (the readahead a sequential fault
+  // just issued, or a parked demand fill): one would otherwise publish into
+  // our hash slot mid-promotion. The entry locks held above stop any new
+  // fill for the span from starting, so afterwards every span page is either
+  // in the hash or not resident at all.
+  if (ok && engine_->fills_in_flight() > 0) {
+    telemetry::ChildSpan wait_span(vcpu.clock(), telemetry::SpanPhase::kQueueWait);
+    (void)engine_->AwaitFills(vcpu, base_fp, base_fp + kSpanPages - 1);
+  }
+
+  // (3) Claim every resident page of the span; abort on anything in flight
+  // (writeback, eviction) or dirty — the 2 MB leaf is read-only, so
+  // promoting over a dirty 4K page would lose its dirtiness.
   if (ok) {
     ScopedMeasure measure(vcpu.clock(), CostCategory::kCacheMgmt);
     for (uint64_t i = 0; i < kSpanPages; i++) {
       uint64_t key = MakeKey(vma_.mapping_id, base_fp + i);
       FrameId frame;
-      bool hit = cache.Lookup(key, &frame);
-      if (!hit && engine_ != nullptr) {
-        if (engine_->HasPendingFill(key)) {
-          // An in-flight readahead fill would publish into our hash slot
-          // mid-promotion. Its completion publishes under the engine lock
-          // HasPendingFill just took, so the re-check below cannot miss a
-          // fill that completed before the verdict.
-          ok = false;
-          break;
-        }
-        hit = cache.Lookup(key, &frame);
-      }
-      if (!hit) {
+      if (!cache.Lookup(key, &frame)) {
         continue;  // not resident; the run fill below reads it from the device
       }
       Frame& f = cache.frame(frame);
@@ -1607,14 +1506,14 @@ bool AquilaMap::TryPromote(Vcpu& vcpu, uint64_t span) {
     }
   }
 
-  // (3) The aligned frame run.
+  // (4) The aligned frame run.
   if (ok) {
     ScopedMeasure measure(vcpu.clock(), CostCategory::kCacheMgmt);
     run = cache.AllocRun(vcpu.core());
     ok = run != kInvalidFrame;
   }
 
-  // (4) Fill the whole span with ONE batched device submission. Clean
+  // (5) Fill the whole span with ONE batched device submission. Clean
   // resident pages equal the device bytes by definition, so re-reading the
   // full 2 MB is correct and keeps this a single request instead of a
   // scatter of copies plus a sub-batch read.
@@ -1651,7 +1550,7 @@ bool AquilaMap::TryPromote(Vcpu& vcpu, uint64_t span) {
 
   runtime_->huge_stats().runs_carved.fetch_add(1, std::memory_order_relaxed);
 
-  // (5) Retire the 4K frames: PTE out, shootdown captured, mapping dropped,
+  // (6) Retire the 4K frames: PTE out, shootdown captured, mapping dropped,
   // frame freed — all under the entry locks, so no faulter can re-install.
   std::vector<PageShootdown> vpns;
   vpns.reserve(old_frames.size());
@@ -1681,7 +1580,7 @@ bool AquilaMap::TryPromote(Vcpu& vcpu, uint64_t span) {
     cache.FreeFrames(vcpu.core(), retired.data(),
                      static_cast<uint32_t>(retired.size()));
 
-    // (6) Publish the run's frames as the span's residents: the cache keeps
+    // (7) Publish the run's frames as the span's residents: the cache keeps
     // seeing per-4K entries (msync, DONTNEED, and eviction stay
     // huge-oblivious up to the demote hooks), they just happen to be
     // id-contiguous.
@@ -1699,12 +1598,12 @@ bool AquilaMap::TryPromote(Vcpu& vcpu, uint64_t span) {
     }
   }
 
-  // (7) Shoot down the retired translations BEFORE the huge install: while
+  // (8) Shoot down the retired translations BEFORE the huge install: while
   // we hold every entry lock no new 4K TLB entry for the span can be minted,
   // so the flush cannot race a fresh insert.
   runtime_->ShootdownPages(vcpu, vpns);
 
-  // (8) One 2 MB guest-PT leaf over the run, read-only — the first write
+  // (9) One 2 MB guest-PT leaf over the run, read-only — the first write
   // demotes (dirty divergence) rather than dirtying 2 MB at a stroke. The
   // guest PT's "GPA" space is frame_id << 12, where contiguous run frames
   // are exactly a 2 MB extent; the EPT-side assert checks the hypervisor-GPA

@@ -6,8 +6,9 @@
 //   miss : a page fault taken in non-root ring 0 (552-cycle exception, no
 //          protection-domain switch), handled under the page's VMA entry
 //          lock: cache lookup in the lock-free hash, frame allocation from
-//          the 2-level freelist, synchronous batched eviction when empty,
-//          device read, mapping install.
+//          the 2-level freelist, batched eviction when empty (dirty
+//          victims submitted to the device queue), device read, mapping
+//          install.
 // Dirty tracking follows §3.2: read faults map read-only; the first write
 // takes a second (minor) fault that sets PTE.W|D and inserts the frame into
 // the faulting core's dirty tree, keyed by device offset.
@@ -164,29 +165,30 @@ class AquilaMap : public MemoryMap {
   // when not yet woken), runs the access, and either completes the task or
   // parks it again. Called by CoreScheduler::RunReady on the owning core.
   void CoopStep(Vcpu& vcpu, CoreScheduler* sched, CoreScheduler::Task* task);
-  // Installs readahead pages following `file_page` (best effort: callers may
-  // ignore the status — it reports the first fill that could not be issued).
+  // Submits async readahead fills for the pages following `file_page` (best
+  // effort: callers may ignore the status — it reports the first fill that
+  // could not be issued). Pages publish into the cache as fills are reaped.
   Status ReadAhead(Vcpu& vcpu, uint64_t file_page);
-  // Batched eviction (synchronous writeback, or submission to the async
-  // engines). Returns frames freed now — async mode frees dirty victims
-  // later, when their completions reap. Writeback failures (sync I/O errors
-  // and async submission rejections alike) are charged via
+  // Batched eviction: clean victims free now, dirty victims are submitted
+  // to their owners' async engines and free later, when their completions
+  // reap. Returns the frames freed now. Writeback failures (I/O errors in
+  // completions and submission rejections alike) are charged via
   // NoteWritebackResult and reduce the round's progress; they are never
   // surfaced as a fault error for an unrelated page.
   StatusOr<size_t> EvictBatch(Vcpu& vcpu);
   // Fills `frame` for (vaddr,key) from the backing and publishes it.
   Status FillAndPublish(Vcpu& vcpu, FrameId frame, uint64_t vaddr, uint64_t key, bool write);
 
-  // Records the outcome of one writeback batch (sync) or completion (async):
-  // failures count toward the degradation limit, a success resets the count.
+  // Records the outcome of one writeback batch (msync, teardown) or async
+  // completion: failures count toward the degradation limit, a success
+  // resets the count.
   void NoteWritebackResult(const Status& status);
   // Re-publishes a claimed-but-unwritten dirty frame after a writeback
-  // failure: frame re-marked dirty and resident. `reinsert_mapping` is true
-  // on the synchronous path (which removed the cache mapping when claiming)
-  // and false on the async path (which keeps it for waiting faulters).
-  void RestoreDirtyFrame(Vcpu& vcpu, FrameId frame, uint64_t sort_key, bool reinsert_mapping);
+  // failure: frame re-marked dirty and resident. The claim kept the cache
+  // mapping for waiting faulters, so it is not re-inserted.
+  void RestoreDirtyFrame(Vcpu& vcpu, FrameId frame, uint64_t sort_key);
 
-  // The async pipeline, present iff Options::async_writeback.
+  // The mapping's writeback/readahead pipeline; never null.
   AsyncWritebackEngine* writeback_engine() { return engine_.get(); }
 
   // Maps up to Options::fault_around_pages already-resident forward
@@ -221,7 +223,7 @@ class AquilaMap : public MemoryMap {
   uint8_t* transparent_base_ = nullptr;  // set for trap-mode mappings
   std::atomic<uint32_t> writeback_failures_{0};
   std::atomic<bool> degraded_{false};
-  std::unique_ptr<AsyncWritebackEngine> engine_;  // iff Options::async_writeback
+  std::unique_ptr<AsyncWritebackEngine> engine_;  // created by the constructor
   // High-water mark of async-prefetched file pages (sequential streams): an
   // in-flight fill is invisible to the cache hash, so without it a re-armed
   // window would resubmit every fill still in the queue.

@@ -132,7 +132,7 @@ size_t CoreScheduler::Wake(uint64_t key, FrameId frame, const Status& status,
     entry.ready = true;
     // Only the demand owner treats the completion status as terminal; other
     // waiters re-run the access and re-derive their own outcome (exactly
-    // what the blocking path does after AwaitFill/WaitOne).
+    // what the blocking path does after AwaitFills/WaitOne).
     entry.wake_status =
         (entry.frame != kInvalidFrame && entry.frame == frame) ? status : Status::Ok();
     woken++;

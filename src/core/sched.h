@@ -2,7 +2,7 @@
 // tables (ROADMAP item 5).
 //
 // The async pipeline (PR 4) gives the device queue depth, but a blocking
-// faulter still burns the whole round-trip in AwaitFill. With the scheduler,
+// faulter still burns the whole round-trip in AwaitFills. With the scheduler,
 // a batch request that hits a park point in the fault path is suspended as an
 // explicit continuation — the captured state is tiny because re-running the
 // access is always safe: the cache key it waits on, the demand-fill frame it
@@ -13,7 +13,7 @@
 //
 // Park points (all under the page's VMA entry lock; see mmio_region.cc):
 //   a) cache miss with another request's fill in flight for the key
-//      (blocking path: AwaitFill);
+//      (blocking path: AwaitFills);
 //   b) minor-fault pin lost to kWritingBack (blocking path: WaitOne);
 //   c) major fault — the request allocates a frame and submits its own
 //      demand fill (blocking path: a synchronous device read).

@@ -63,15 +63,12 @@ Status WritebackPlanner::SubmitAsync(Vcpu& vcpu) {
   Sort(vcpu);
   Status first_error;
   for (const WritebackItem& item : items_) {
-    AsyncWritebackEngine* engine = item.owner->writeback_engine();
-    AQUILA_DCHECK(engine != nullptr);
-    Status status = engine->SubmitWriteback(vcpu, item);
+    Status status = item.owner->writeback_engine()->SubmitWriteback(vcpu, item);
     if (!status.ok()) {
       // The submission machinery itself rejected the request (I/O errors
       // arrive in completions, not here). The page's data never left the
       // frame, so restore it dirty-in-place; the mapping was kept.
-      item.owner->RestoreDirtyFrame(vcpu, item.frame, item.sort_key,
-                                    /*reinsert_mapping=*/false);
+      item.owner->RestoreDirtyFrame(vcpu, item.frame, item.sort_key);
       // Backpressure (a full queue — e.g. watchdog hedge/zombie legs holding
       // inner slots) says nothing about the medium: the next round retries.
       // Anything else is a genuine verdict and feeds the degrade streak.
@@ -165,6 +162,7 @@ Status AsyncWritebackEngine::SubmitFill(Vcpu& vcpu, FrameId frame, uint64_t key,
   Slot& slot = slots_[index];
   slot = Slot{Slot::Kind::kFill, demand, frame, key, /*sort_key=*/0, file_offset,
               telemetry::CurrentSpanContext()};
+  fills_in_flight_.fetch_add(1, std::memory_order_relaxed);
   uint8_t* data = runtime_->cache().FrameData(vcpu, frame);
   AQUILA_TELEMETRY_ONLY(GetAsyncMetrics().fills->Add());
   StatusOr<uint64_t> dev_offset = map_->backing_->TranslateForQueue(file_offset);
@@ -172,6 +170,7 @@ Status AsyncWritebackEngine::SubmitFill(Vcpu& vcpu, FrameId frame, uint64_t key,
     Status status = queue_->SubmitRead(vcpu, *dev_offset, std::span(data, kPageSize), index);
     if (!status.ok()) {
       slot.kind = Slot::Kind::kFree;
+      fills_in_flight_.fetch_sub(1, std::memory_order_release);
       return status;
     }
   } else {
@@ -200,33 +199,23 @@ bool AsyncWritebackEngine::HasPendingFill(uint64_t key) {
   return false;
 }
 
-bool AsyncWritebackEngine::AwaitFill(Vcpu& vcpu, uint64_t key) {
-  std::lock_guard<SpinLock> guard(lock_);
-  bool drained = false;
-  while (true) {
-    bool pending = false;
-    for (const Slot& slot : slots_) {
-      if (slot.kind == Slot::Kind::kFill && slot.key == key) {
-        pending = true;
-        break;
-      }
-    }
-    if (!pending) {
-      return drained;
-    }
-    drained = true;
-    (void)ReapLocked(vcpu, /*wait=*/true);
-  }
+bool AsyncWritebackEngine::AwaitFills(Vcpu& vcpu, uint64_t first_page, uint64_t last_page) {
+  return AwaitRange(vcpu, Slot::Kind::kFill, first_page, last_page);
 }
 
 bool AsyncWritebackEngine::AwaitWritebacks(Vcpu& vcpu, uint64_t first_page,
                                            uint64_t last_page) {
+  return AwaitRange(vcpu, Slot::Kind::kWriteback, first_page, last_page);
+}
+
+bool AsyncWritebackEngine::AwaitRange(Vcpu& vcpu, Slot::Kind kind, uint64_t first_page,
+                                      uint64_t last_page) {
   std::lock_guard<SpinLock> guard(lock_);
   bool drained = false;
   while (true) {
     bool pending = false;
     for (const Slot& slot : slots_) {
-      if (slot.kind != Slot::Kind::kWriteback) {
+      if (slot.kind != kind) {
         continue;
       }
       uint64_t file_page = slot.file_offset >> kPageShift;
@@ -324,7 +313,7 @@ void AsyncWritebackEngine::CompleteLocked(Vcpu& vcpu, const DeviceQueue::Complet
     } else {
       // Unwritten dirty data must not be dropped: restore in place (the
       // mapping was kept) so the next writeback retries.
-      map_->RestoreDirtyFrame(vcpu, slot.frame, slot.sort_key, /*reinsert_mapping=*/false);
+      map_->RestoreDirtyFrame(vcpu, slot.frame, slot.sort_key);
     }
     // Requests parked on the kWritingBack pin (park point b) re-run now that
     // the frame either freed or restored resident. kInvalidFrame: nobody
@@ -333,7 +322,7 @@ void AsyncWritebackEngine::CompleteLocked(Vcpu& vcpu, const DeviceQueue::Complet
   } else {
     // Lock-free publication is safe because fills are only submitted while
     // holding the target page's entry lock and a faulter that missed in the
-    // hash drains pending fills (AwaitFill) or parks on them under that same
+    // hash drains pending fills (AwaitFills) or parks on them under that same
     // lock before filling the page itself — so no faulter can be mid-fill on
     // this key here. A failed insert means a second speculative fill for the
     // same page won the race; the surplus frame is simply discarded.
@@ -357,6 +346,9 @@ void AsyncWritebackEngine::CompleteLocked(Vcpu& vcpu, const DeviceQueue::Complet
       cache.FreeFrame(vcpu.core(), slot.frame);
       (*freed)++;
     }
+    // After the publication above: a faulter whose gate reads the new count
+    // (acquire) also sees the page in the hash.
+    fills_in_flight_.fetch_sub(1, std::memory_order_release);
     // The parked demand owner (entry.frame == slot.frame) receives the
     // completion status as terminal — a failed or watchdog-abandoned fill
     // resolves its request with that error; every other waiter re-runs.

@@ -7,15 +7,16 @@
 // sites differ only in how they claim frames and what they do with them
 // afterwards.
 //
-// Submission comes in two flavors:
-//   * SubmitSync: the pre-existing behavior — one batched WritePages call per
-//     backing; the caller blocks until the device acknowledges.
-//   * SubmitAsync: each item is routed to its owning mapping's
-//     AsyncWritebackEngine, which submits it on a DeviceQueue and returns
-//     immediately. The frame sits in FrameState::kWritingBack until the
-//     completion is reaped — faulting threads keep making progress (and keep
-//     advancing simulated time past the device's ready timestamps) while the
-//     writes are in flight, which is the overlap the pipeline exists for.
+// Eviction and madvise(DONTNEED) use SubmitAsync: each item is routed to its
+// owning mapping's AsyncWritebackEngine, which submits it on a DeviceQueue
+// and returns immediately. The frame sits in FrameState::kWritingBack until
+// the completion is reaped — faulting threads keep making progress (and keep
+// advancing simulated time past the device's ready timestamps) while the
+// writes are in flight, which is the overlap the pipeline exists for.
+// Devices without a native queue get the sync-emulation shim, so this is the
+// only eviction path. msync and unmap drain the engine and then finish with
+// SubmitSync — one batched WritePages call per backing — as their durability
+// barrier.
 //
 // The engine also issues read-ahead as asynchronous fills: frames stay
 // kFilling (unmapped, invisible to evictors) until their completion reaps,
@@ -23,6 +24,7 @@
 #ifndef AQUILA_SRC_CORE_WRITEBACK_H_
 #define AQUILA_SRC_CORE_WRITEBACK_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -112,6 +114,13 @@ class AsyncWritebackEngine {
   Status SubmitFill(Vcpu& vcpu, FrameId frame, uint64_t key, uint64_t file_offset,
                     bool demand = false);
 
+  // Fills submitted and not yet completed (published or discarded). Fills
+  // for a key are submitted only under that page's entry lock, so a faulter
+  // holding the lock that reads 0 here (acquire; the completion decrements
+  // with release after publishing) knows a subsequent hash miss is final —
+  // the fault path's gate that keeps an idle engine off the miss path.
+  uint32_t fills_in_flight() const { return fills_in_flight_.load(std::memory_order_acquire); }
+
   // True while a fill for `key` is in flight. The cooperative fault path
   // checks this (under the page's entry lock) to decide between parking on
   // someone else's fill and submitting its own; the park protocol re-checks
@@ -122,14 +131,16 @@ class AsyncWritebackEngine {
   // Returns the number of frames released to the freelist.
   size_t Harvest(Vcpu& vcpu);
 
-  // Waits out any in-flight fill for `key`, reaping completions (and thus
-  // publishing the fill) as they become ready. Returns true if such a fill
-  // was drained. A faulter that missed in the hash MUST call this before
-  // filling the page itself — while holding the page's entry lock — so a
-  // pending read-ahead fill is consumed instead of duplicated, and so the
-  // lock-free publication in CompleteLocked can never collide with the
+  // Waits out every in-flight fill whose file page lies in [first_page,
+  // last_page], reaping completions (and thus publishing the fills) as they
+  // become ready. Returns true if such a fill was drained. A faulter that
+  // missed in the hash while fills_in_flight() was non-zero MUST call this
+  // before filling the page itself — while holding the page's entry lock —
+  // so a pending read-ahead fill is consumed instead of duplicated, and so
+  // the lock-free publication in CompleteLocked can never collide with the
   // faulter's own insert (fills are only submitted under the entry lock).
-  bool AwaitFill(Vcpu& vcpu, uint64_t key);
+  // A promoter holding a whole span's entry locks calls it for the span.
+  bool AwaitFills(Vcpu& vcpu, uint64_t first_page, uint64_t last_page);
 
   // Waits out every in-flight writeback whose file page lies in
   // [first_page, last_page], reaping completions as they become ready;
@@ -170,6 +181,8 @@ class AsyncWritebackEngine {
     telemetry::SpanContext span;
   };
 
+  // Shared body of AwaitFills/AwaitWritebacks.
+  bool AwaitRange(Vcpu& vcpu, Slot::Kind kind, uint64_t first_page, uint64_t last_page);
   // Finds a free slot, reaping (and waiting if necessary) when the queue is
   // saturated. Returns the slot index.
   uint32_t ClaimSlotLocked(Vcpu& vcpu);
@@ -187,6 +200,8 @@ class AsyncWritebackEngine {
   std::vector<DeviceQueue::Completion> local_;  // guarded by lock_: results of
                                                 // requests executed synchronously
                                                 // (no device extent to queue on)
+  // Written under lock_, read lock-free by the fault path's gate.
+  std::atomic<uint32_t> fills_in_flight_{0};
 };
 
 }  // namespace aquila

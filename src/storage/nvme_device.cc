@@ -122,8 +122,9 @@ Status NvmeQueuePair::WaitAll(Vcpu& vcpu) {
   return Status::Ok();
 }
 
-NvmeDeviceQueue::NvmeDeviceQueue(NvmeController* controller, uint32_t depth)
-    : DeviceQueue(depth), controller_(controller), slots_(this->depth()) {}
+NvmeDeviceQueue::NvmeDeviceQueue(NvmeController* controller, uint32_t depth,
+                                 DeviceStats* stats)
+    : DeviceQueue(depth), controller_(controller), stats_(stats), slots_(this->depth()) {}
 
 Status NvmeDeviceQueue::Submit(Vcpu& vcpu, NvmeOpcode opcode, uint64_t offset,
                                uint8_t* buffer, uint64_t bytes, uint64_t user_data) {
@@ -149,6 +150,13 @@ Status NvmeDeviceQueue::Submit(Vcpu& vcpu, NvmeOpcode opcode, uint64_t offset,
     if (!slot.in_use) {
       slot = Slot{true, user_data, now, ready_at};
       NoteSubmit(now);
+      if (opcode == NvmeOpcode::kWrite) {
+        stats_->writes.fetch_add(1, std::memory_order_relaxed);
+        stats_->bytes_written.fetch_add(bytes, std::memory_order_relaxed);
+      } else {
+        stats_->reads.fetch_add(1, std::memory_order_relaxed);
+        stats_->bytes_read.fetch_add(bytes, std::memory_order_relaxed);
+      }
       return Status::Ok();
     }
   }
@@ -194,7 +202,7 @@ uint64_t NvmeDeviceQueue::NextReadyAt() const {
 NvmeDevice::NvmeDevice(NvmeController* controller) : controller_(controller) {}
 
 std::unique_ptr<DeviceQueue> NvmeDevice::CreateQueue(uint32_t depth) {
-  return std::make_unique<NvmeDeviceQueue>(controller_, depth);
+  return std::make_unique<NvmeDeviceQueue>(controller_, depth, &stats_);
 }
 
 NvmeQueuePair& NvmeDevice::QueueForThisCore() {

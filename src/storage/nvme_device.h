@@ -125,10 +125,12 @@ class NvmeQueuePair {
 // Native DeviceQueue over one NvmeController: the SPDK queue-pair model
 // behind the generic submission/completion interface. Submit charges the
 // doorbell cost and books media time; Poll charges the per-completion reap
-// cost once the media is done. Single-owner, like NvmeQueuePair.
+// cost once the media is done. Single-owner, like NvmeQueuePair. Accepted
+// submissions count in the owning device's DeviceStats, like the
+// synchronous entry points they bypass.
 class NvmeDeviceQueue : public DeviceQueue {
  public:
-  NvmeDeviceQueue(NvmeController* controller, uint32_t depth);
+  NvmeDeviceQueue(NvmeController* controller, uint32_t depth, DeviceStats* stats);
 
   const char* name() const override { return "nvme"; }
   uint64_t io_alignment() const override { return NvmeController::kLbaSize; }
@@ -152,6 +154,7 @@ class NvmeDeviceQueue : public DeviceQueue {
                 uint64_t bytes, uint64_t user_data);
 
   NvmeController* controller_;
+  DeviceStats* stats_;
   std::vector<Slot> slots_;
 };
 

@@ -1,6 +1,7 @@
 #include "src/vmx/hypervisor.h"
 
 #include <sys/mman.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -10,21 +11,41 @@
 
 namespace aquila {
 
+namespace {
+
+// Sizes the memfd that backs host memory. False when the process file-size
+// limit (ulimit -f) is below `bytes`: growing the file past it would raise
+// SIGXFSZ and kill the process, so the caller must not try.
+bool SizeMemfd(int fd, uint64_t bytes) {
+  struct rlimit limit;
+  if (getrlimit(RLIMIT_FSIZE, &limit) == 0 && limit.rlim_cur != RLIM_INFINITY &&
+      limit.rlim_cur < bytes) {
+    return false;
+  }
+  return ftruncate(fd, static_cast<off_t>(bytes)) == 0;
+}
+
+}  // namespace
+
 Hypervisor::Hypervisor(const Options& options) : options_(options) {
   AQUILA_CHECK(IsPowerOfTwo(options_.chunk_size));
   AQUILA_CHECK(IsAligned(options_.host_memory_bytes, options_.chunk_size));
 #if defined(__linux__)
   backing_fd_ = memfd_create("aquila-host-mem", 0);
 #endif
+  if (backing_fd_ >= 0 && !SizeMemfd(backing_fd_, options_.host_memory_bytes)) {
+    close(backing_fd_);
+    backing_fd_ = -1;
+  }
   if (backing_fd_ >= 0) {
-    AQUILA_CHECK(ftruncate(backing_fd_, static_cast<off_t>(options_.host_memory_bytes)) == 0);
     void* mem = mmap(nullptr, options_.host_memory_bytes, PROT_READ | PROT_WRITE, MAP_SHARED,
                      backing_fd_, 0);
     AQUILA_CHECK(mem != MAP_FAILED);
     host_base_ = static_cast<uint8_t*>(mem);
   } else {
-    // Fallback for hosts without memfd: anonymous memory (trap mode cannot
-    // alias frames in this configuration and falls back to soft mode).
+    // Fallback for hosts without memfd, or whose file-size limit is below
+    // host_memory_bytes: anonymous memory (trap mode cannot alias frames in
+    // this configuration and falls back to soft mode).
     void* mem = mmap(nullptr, options_.host_memory_bytes, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     AQUILA_CHECK(mem != MAP_FAILED);

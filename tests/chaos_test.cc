@@ -464,7 +464,6 @@ TEST(ChaosTest, TrafficSurvivesHangsBrownoutsErrorStormAndHeals) {
   options.cache.capacity_pages = 1024;
   options.cache.max_pages = 4096;
   options.cache.eviction_batch = 64;
-  options.async_writeback = true;
   options.async_queue_depth = 16;
   options.device_op_timeout_us = kTimeoutUs;
   options.hedge_reads = true;

@@ -196,6 +196,8 @@ TEST_F(AquilaTest, SequentialAdviceTriggersReadAhead) {
   ASSERT_TRUE(map.ok());
   ASSERT_TRUE((*map)->Advise(0, 1 << 20, Advice::kSequential).ok());
   EXPECT_TRUE((*map)->TouchRead(0).faulted);
+  // Readahead pages are counted when their fills are reaped.
+  runtime_->HarvestAsyncWritebacks(ThisVcpu());
   EXPECT_GT(runtime_->fault_stats().readahead_pages.load(), 0u);
   // The next pages are already cached: minor faults at most, no device read.
   uint64_t majors = runtime_->fault_stats().major_faults.load();
@@ -204,6 +206,50 @@ TEST_F(AquilaTest, SequentialAdviceTriggersReadAhead) {
   }
   EXPECT_EQ(runtime_->fault_stats().major_faults.load(), majors);
   EXPECT_GT(runtime_->fault_stats().minor_faults.load(), 0u);
+  ASSERT_TRUE(runtime_->Unmap(*map).ok());
+}
+
+TEST_F(AquilaTest, FillPublishedInsideFaultGateIsReadOnce) {
+  // A concurrent harvester may publish a readahead fill between the fault
+  // path's fills_in_flight read and its hash lookup (race point
+  // core.fault.fill_gate). The gate must see the page: a miss taken as final
+  // would read it a second time, and the second publication would trip the
+  // InsertMapping check. Every page must reach the device exactly once.
+  constexpr uint64_t kBytes = 2ull << 20;  // 512 pages, fits in the cache
+  constexpr uint64_t kPages = kBytes / kPageSize;
+  constexpr int kRounds = 8;
+  FillDevice(0, kBytes);
+  DeviceBacking backing(device_.get(), 0, kBytes);
+  StatusOr<MemoryMap*> map = runtime_->Map(&backing, kBytes, kProtRead);
+  ASSERT_TRUE(map.ok());
+
+  std::atomic<bool> done{false};
+  std::thread harvester([&] {
+    runtime_->EnterThread();
+    Vcpu& vcpu = ThisVcpu();
+    while (!done.load(std::memory_order_acquire)) {
+      runtime_->HarvestAsyncWritebacks(vcpu);
+      std::this_thread::yield();
+    }
+  });
+  const uint64_t reads_before = device_->stats().reads.load();
+  bool intact = true;
+  // EXPECT, not ASSERT, until the harvester is joined.
+  for (int round = 0; round < kRounds && intact; round++) {
+    EXPECT_TRUE((*map)->Advise(0, kBytes, Advice::kSequential).ok());
+    for (uint64_t p = 0; p < kPages; p++) {
+      uint8_t value = (*map)->LoadValue<uint8_t>(p * kPageSize + 7);
+      intact = intact && value == PatternAt(p * kPageSize + 7);
+    }
+    // Clean drop of the whole range: the next round faults every page again.
+    EXPECT_TRUE((*map)->Advise(0, kBytes, Advice::kDontNeed).ok());
+  }
+  done.store(true, std::memory_order_release);
+  harvester.join();
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(device_->stats().reads.load() - reads_before, kPages * kRounds);
+  FaultStats& stats = runtime_->fault_stats();
+  EXPECT_EQ(stats.major_faults.load() + stats.readahead_pages.load(), kPages * kRounds);
   ASSERT_TRUE(runtime_->Unmap(*map).ok());
 }
 
@@ -364,9 +410,9 @@ TEST_F(AquilaTest, BlobBackedMapping) {
 
 // --- Async overlapped writeback/readahead pipeline ---------------------------
 //
-// Same runtime, Options::async_writeback = true, over an NVMe backing whose
-// medium genuinely overlaps queued commands. Semantics must match the sync
-// pipeline exactly; only the timing differs.
+// Same runtime over an NVMe backing whose medium genuinely overlaps queued
+// commands. Semantics must match the pmem fixture's sync-emulation shim
+// exactly; only the timing differs.
 class AsyncAquilaTest : public ::testing::Test {
  protected:
   static constexpr uint64_t kDeviceBytes = 64ull << 20;
@@ -386,7 +432,6 @@ class AsyncAquilaTest : public ::testing::Test {
     options.cache.eviction_batch = 64;
     options.cache.freelist.core_queue_threshold = 64;
     options.cache.freelist.move_batch = 32;
-    options.async_writeback = true;
     options.async_queue_depth = 16;
     runtime_ = std::make_unique<Aquila>(options);
   }
@@ -499,7 +544,7 @@ TEST_F(AsyncAquilaTest, ReadAheadFillsPublishOnHarvest) {
 }
 
 TEST_F(AsyncAquilaTest, SequentialScanAwaitsFillsWithoutDuplicateReads) {
-  // A sequential scan must consume in-flight fills (AwaitFill) and re-arm
+  // A sequential scan must consume in-flight fills (AwaitFills) and re-arm
   // the window from the high-water mark — every page is read from the device
   // exactly once, either by the prefetcher or by a major fault, never both.
   constexpr uint64_t kBytes = 2ull << 20;  // 512 pages, fits in cache

@@ -332,7 +332,6 @@ class AsyncDegradedMmioTest : public ::testing::TestWithParam<bool> {
     options.cache.capacity_pages = 1024;
     options.cache.max_pages = 4096;
     options.cache.eviction_batch = 64;
-    options.async_writeback = true;
     options.async_queue_depth = 8;
     runtime_ = std::make_unique<Aquila>(options);
     backing_ = std::make_unique<DeviceBacking>(faults_.get(), 0, 16ull << 20);
@@ -373,7 +372,7 @@ TEST_P(AsyncDegradedMmioTest, CompletionErrorsRestoreDirtyAndDegrade) {
   EXPECT_GE(runtime_->fault_stats().writeback_errors.load(), limit);
   EXPECT_GT(faults_->fault_stats().injected_write_errors.load(), 0u);
 
-  // Degraded parity with the sync pipeline: writes refused, reads served.
+  // Degraded mode: writes refused, reads served.
   EXPECT_EQ((*map)->Write(0, std::span<const uint8_t>(buf)).code(), StatusCode::kIoError);
   std::vector<uint8_t> in(kPageSize);
   ASSERT_TRUE((*map)->Read(0, std::span(in)).ok());

@@ -29,7 +29,6 @@ Aquila::Options CoopOptions(uint64_t cache_pages) {
   options.cache.capacity_pages = cache_pages;
   options.cache.max_pages = cache_pages * 4;
   options.cache.eviction_batch = 64;
-  options.async_writeback = true;
   options.coop_sched = true;
   return options;
 }

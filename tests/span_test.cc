@@ -365,7 +365,6 @@ TEST_F(SpanTest, FaultPathChildPhasesTileWallTime) {
   options.cache.eviction_batch = 64;
   options.cache.freelist.core_queue_threshold = 64;
   options.cache.freelist.move_batch = 32;
-  options.async_writeback = true;
   options.span_sample_every = 1;
   auto runtime = std::make_unique<Aquila>(options);
 

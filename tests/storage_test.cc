@@ -436,6 +436,25 @@ TEST_F(DeviceQueueTest, NvmeQueueOverlapsCommands) {
   EXPECT_LT(queued_vcpu.clock().Now() * 2, sync_vcpu.clock().Now());
 }
 
+TEST_F(DeviceQueueTest, NvmeQueueCountsInDeviceStats) {
+  // The native queue bypasses the synchronous entry points, so it must count
+  // its own accepted commands in the device's stats.
+  auto queue = nvme_->CreateQueue(4);
+  std::vector<uint8_t> out(kPageSize, 0x3C);
+  std::vector<uint8_t> in(2 * kPageSize);
+  ASSERT_TRUE(queue->SubmitWrite(vcpu_, 0, std::span<const uint8_t>(out), 1).ok());
+  ASSERT_TRUE(queue->SubmitWrite(vcpu_, kPageSize, std::span<const uint8_t>(out), 2).ok());
+  ASSERT_TRUE(queue->SubmitRead(vcpu_, 0, std::span(in), 3).ok());
+  // A rejected submission moves nothing and counts nothing.
+  EXPECT_FALSE(queue->SubmitWrite(vcpu_, 1, std::span<const uint8_t>(out), 4).ok());
+  std::vector<DeviceQueue::Completion> completions;
+  ASSERT_TRUE(queue->Drain(vcpu_, &completions).ok());
+  EXPECT_EQ(nvme_->stats().writes.load(), 2u);
+  EXPECT_EQ(nvme_->stats().bytes_written.load(), 2 * kPageSize);
+  EXPECT_EQ(nvme_->stats().reads.load(), 1u);
+  EXPECT_EQ(nvme_->stats().bytes_read.load(), 2 * kPageSize);
+}
+
 TEST_F(DeviceQueueTest, FullQueueReturnsOutOfSpace) {
   auto queue = nvme_->CreateQueue(2);
   std::vector<uint8_t> buf(kPageSize);

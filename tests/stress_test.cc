@@ -706,7 +706,6 @@ TEST(PipelineStressTest, CooperativeBatchPipelineTorture) {
   options.cache.eviction_batch = 64;
   options.cache.freelist.core_queue_threshold = 64;
   options.cache.freelist.move_batch = 32;
-  options.async_writeback = true;
   options.coop_sched = true;
   Aquila runtime(options);
 
@@ -913,7 +912,6 @@ TEST(PipelineStressTest, AsyncFaultEvictWritebackTorture) {
   options.cache.eviction_batch = 64;
   options.cache.freelist.core_queue_threshold = 64;
   options.cache.freelist.move_batch = 32;
-  options.async_writeback = true;
   options.async_queue_depth = 32;
   Aquila runtime(options);
 

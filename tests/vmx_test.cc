@@ -1,6 +1,9 @@
 // Unit tests for src/vmx: EPT, hypervisor grants/EPT faults, vCPU transition
 // accounting, posted-IPI fabric.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstring>
 
@@ -66,6 +69,35 @@ class HypervisorTest : public ::testing::Test {
   std::unique_ptr<Hypervisor> hv_;
   int guest_;
 };
+
+TEST(HypervisorLimitTest, FileSizeLimitFallsBackToAnonymousMemory) {
+  // Under a file-size limit below host_memory_bytes, sizing the memfd would
+  // raise SIGXFSZ. The limit is lowered only in a forked child, which must
+  // construct a usable hypervisor on anonymous memory and exit cleanly.
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    struct rlimit limit;
+    if (getrlimit(RLIMIT_FSIZE, &limit) != 0) {
+      _exit(2);
+    }
+    limit.rlim_cur = 1 << 20;
+    if (setrlimit(RLIMIT_FSIZE, &limit) != 0) {
+      _exit(3);
+    }
+    Hypervisor::Options options;
+    options.host_memory_bytes = 64ull << 20;
+    options.chunk_size = 1ull << 20;
+    Hypervisor hv(options);
+    uint8_t* mem = hv.HostPtr((32ull << 20) + 5);
+    *mem = 0x5A;
+    _exit(hv.backing_fd() < 0 && *mem == 0x5A ? 0 : 4);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal " << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
 
 TEST_F(HypervisorTest, GrantAndLazyBacking) {
   Vcpu vcpu(0);
