@@ -23,7 +23,11 @@
 // gate for the per-frame core mask.
 //
 // Emits BENCH_tlb_shootdown.json; `--smoke` shrinks the run for CI, which
-// keeps a perf trajectory for the shootdown fan-out.
+// keeps a perf trajectory for the shootdown fan-out. A smoke cell sees only
+// tens of remote IPIs, and which evictions need one depends on how the host
+// schedules the worker threads, so a single smoke run's per-shootdown ratios
+// swing by half from run to run; smoke rows therefore sum kSmokeReps runs of
+// the same cell before dividing (the counter columns stay per run).
 #include <cinttypes>
 #include <cstring>
 #include <thread>
@@ -48,7 +52,43 @@ struct Row {
   uint64_t evicted_pages = 0;
   uint64_t reuse_elided = 0;
   uint64_t reuse_mismatch = 0;
+  uint64_t shootdown_cycles = 0;
 };
+
+constexpr int kSmokeReps = 32;
+
+// Adds one run's counters into `into` (which carries the cell's cores and
+// mode) and recomputes the ratios over the sums.
+void Accumulate(Row* into, const Row& run) {
+  into->shootdowns += run.shootdowns;
+  into->ipis_sent += run.ipis_sent;
+  into->ipis_elided += run.ipis_elided;
+  into->shootdowns_local += run.shootdowns_local;
+  into->evicted_pages += run.evicted_pages;
+  into->reuse_elided += run.reuse_elided;
+  into->reuse_mismatch += run.reuse_mismatch;
+  into->shootdown_cycles += run.shootdown_cycles;
+  if (into->evicted_pages > 0) {
+    into->cycles_per_evicted_page =
+        static_cast<double>(into->shootdown_cycles) / into->evicted_pages;
+  }
+  if (into->shootdowns > 0) {
+    into->ipis_per_shootdown = static_cast<double>(into->ipis_sent) / into->shootdowns;
+  }
+}
+
+// Turns a row summed over `reps` runs into per-run counters (rounded), so the
+// counter columns stay comparable with single-run rows; the ratios keep the
+// sums' precision.
+void CountersPerRun(Row* row, int reps) {
+  const uint64_t n = static_cast<uint64_t>(reps);
+  for (uint64_t* counter :
+       {&row->shootdowns, &row->ipis_sent, &row->ipis_elided, &row->shootdowns_local,
+        &row->evicted_pages, &row->reuse_elided, &row->reuse_mismatch,
+        &row->shootdown_cycles}) {
+    *counter = (*counter + n / 2) / n;
+  }
+}
 
 // Random reads over per-thread private mappings with a 4:1 data:cache ratio.
 Row RunEvictionChurn(ShootdownMaskMode mode, const char* mode_name, int threads,
@@ -119,8 +159,6 @@ Row RunEvictionChurn(ShootdownMaskMode mode, const char* mode_name, int threads,
 
   // Counters captured before Unmap so teardown shootdowns stay out of the row.
   Row row;
-  row.cores = threads;
-  row.mode_name = mode_name;
   row.shootdowns = runtime->tlb().shootdowns();
   row.ipis_sent = runtime->tlb().ipis_sent();
   row.ipis_elided = runtime->tlb().ipis_elided();
@@ -128,17 +166,15 @@ Row RunEvictionChurn(ShootdownMaskMode mode, const char* mode_name, int threads,
   row.reuse_elided = runtime->tlb().reuse_elided();
   row.reuse_mismatch = runtime->tlb().reuse_mismatch();
   row.evicted_pages = runtime->fault_stats().evicted_pages.load();
-  if (row.evicted_pages > 0) {
-    row.cycles_per_evicted_page =
-        static_cast<double>(shootdown_cycles.load()) / row.evicted_pages;
-  }
-  if (row.shootdowns > 0) {
-    row.ipis_per_shootdown = static_cast<double>(row.ipis_sent) / row.shootdowns;
-  }
+  row.shootdown_cycles = shootdown_cycles.load();
   for (MemoryMap* map : maps) {
     AQUILA_CHECK(runtime->Unmap(map).ok());
   }
-  return row;
+  Row cell;
+  cell.cores = threads;
+  cell.mode_name = mode_name;
+  Accumulate(&cell, row);
+  return cell;
 }
 
 // Single-threaded sequential scan with 4 simulated active cores: every
@@ -186,7 +222,7 @@ std::string JsonRow(const Row& row) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "{\"cores\": %d, \"mode\": \"%s\", \"cycles_per_evicted_page\": %.1f, "
-                "\"ipis_per_shootdown\": %.2f, \"shootdowns\": %" PRIu64
+                "\"ipis_per_shootdown\": %.4f, \"shootdowns\": %" PRIu64
                 ", \"ipis_sent\": %" PRIu64 ", \"ipis_elided\": %" PRIu64
                 ", \"shootdowns_local\": %" PRIu64 ", \"evicted_pages\": %" PRIu64
                 ", \"reuse_elided\": %" PRIu64 ", \"reuse_mismatch\": %" PRIu64 "}",
@@ -211,6 +247,7 @@ int main(int argc, char** argv) {
   }
   const uint64_t kDataPerThread = smoke ? (2ull << 20) : Scaled(8ull << 20);
   const uint64_t kOpsPerThread = smoke ? 800 : Scaled(4000);
+  const int kReps = smoke ? kSmokeReps : 1;
 
   PrintHeader("TLB shootdown fan-out: private random reads + transient drops, 4:1 data:cache");
   const int kCores[] = {1, 4, 8};
@@ -225,6 +262,11 @@ int main(int argc, char** argv) {
   for (int cores : kCores) {
     for (const ModeCase& mc : kModes) {
       Row row = RunEvictionChurn(mc.mode, mc.name, cores, kDataPerThread, kOpsPerThread);
+      for (int rep = 1; rep < kReps; rep++) {
+        Accumulate(&row, RunEvictionChurn(mc.mode, mc.name, cores, kDataPerThread,
+                                          kOpsPerThread));
+      }
+      CountersPerRun(&row, kReps);
       PrintRow(row);
       sweep.push_back(row);
     }
@@ -257,6 +299,7 @@ int main(int argc, char** argv) {
                "\"private random reads + transient drops (1/8 ops, 1/16 cross-owner), "
                "4:1 data:cache, eviction churn\"");
   json.AddMeta("ops_per_thread", std::to_string(kOpsPerThread));
+  json.AddMeta("reps", std::to_string(kReps));
   json.BeginSection("sweep");
   for (const Row& row : sweep) {
     json.AddRow(JsonRow(row));

@@ -195,6 +195,8 @@ class TwoLevelFreelist {
 
  private:
   void AddSingles(FrameId first, uint32_t count);
+  // Alloc without the free-frame accounting.
+  FrameId PopSingle(int core);
   FrameId PopRun(int local_node);
   void MaybeOverflow(int core);
 
@@ -209,10 +211,13 @@ class TwoLevelFreelist {
   std::vector<FrameStack> numa_queues_;  // one per NUMA node
   // One run queue per NUMA node, intrusive over the same next_[] array: a
   // run is linked into a queue by its first frame only, so a frame is
-  // reachable from exactly one queue — a single queue (counted as 1 by
-  // ApproxFree) or, via its run head, a run queue (counted as kRunFrames).
-  // Populated only under Options::carve_runs.
+  // reachable from exactly one queue — a single queue or, via its run head,
+  // a run queue. Populated only under Options::carve_runs.
   std::vector<FrameStack> run_queues_;
+  // Frames inside the freelist, for ApproxFree: raised after each push that
+  // frees frames, lowered after each pop that hands them out (a whole run
+  // counts kRunFrames); moves between queues leave it alone.
+  alignas(kCacheLineSize) std::atomic<int64_t> free_frames_{0};
   Stats stats_;
 };
 

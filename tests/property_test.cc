@@ -266,11 +266,14 @@ INSTANTIATE_TEST_SUITE_P(ServiceTimes, ResourceTest,
 
 // --- Aquila read-your-writes sweep ------------------------------------------------------
 
+// No implicit padding, for the same reason as SstShape below: the trailing
+// `reserved` keeps the bytes gtest prints into the case name fixed.
 struct AquilaShape {
   uint64_t cache_pages;
   uint32_t eviction_batch;
   uint32_t readahead;
   int write_percent;
+  int reserved = 0;
 };
 
 class AquilaSweepTest : public ::testing::TestWithParam<AquilaShape> {};
@@ -332,10 +335,15 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- SST round-trip shapes ---------------------------------------------------------------
 
+// gtest names each case after the raw bytes of its SstShape, so the struct
+// has no implicit padding: `reserved` fills the hole before block_size and is
+// always 0, where padding would carry whatever the stack held and give the
+// case a different name in every process.
 struct SstShape {
   int entries;
   int key_len;
   int value_len;
+  int reserved;
   uint64_t block_size;
 };
 
@@ -395,11 +403,11 @@ TEST_P(SstShapeTest, RoundTripsAllEntries) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, SstShapeTest,
-                         ::testing::Values(SstShape{1, 8, 8, 4096},          // singleton
-                                           SstShape{500, 8, 1024, 4096},     // 1 KB values
-                                           SstShape{2000, 30, 100, 4096},    // YCSB keys
-                                           SstShape{300, 8, 9000, 4096},     // value > block
-                                           SstShape{1000, 16, 64, 512}));    // tiny blocks
+                         ::testing::Values(SstShape{1, 8, 8, 0, 4096},         // singleton
+                                           SstShape{500, 8, 1024, 0, 4096},    // 1 KB values
+                                           SstShape{2000, 30, 100, 0, 4096},   // YCSB keys
+                                           SstShape{300, 8, 9000, 0, 4096},    // value > block
+                                           SstShape{1000, 16, 64, 0, 512}));   // tiny blocks
 
 }  // namespace
 }  // namespace aquila
