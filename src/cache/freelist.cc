@@ -1,12 +1,17 @@
 #include "src/cache/freelist.h"
 
 #include "src/util/race_injector.h"
+#include "src/util/sim_clock.h"
+#include "src/vmx/cost_model.h"
 
 namespace aquila {
 
 void FrameStack::Push(FrameId frame) { PushChain(frame, frame, 1); }
 
 void FrameStack::PushChain(FrameId first, FrameId last, uint32_t count) {
+  // One push, plus the count - 1 frames the caller pre-linked into the chain.
+  const CostModel& costs = GlobalCostModel();
+  CountWork(costs.freelist_op + (count - 1) * costs.freelist_move);
   uint64_t head = head_.load(std::memory_order_relaxed);
   while (true) {
     next_[last].store(Top(head), std::memory_order_relaxed);
@@ -24,7 +29,7 @@ FrameId FrameStack::Pop() {
   while (true) {
     uint32_t top = Top(head);
     if (top == kNil) {
-      return kInvalidFrame;
+      return kInvalidFrame;  // one load: not counted
     }
     // The window between reading next_[top] and the CAS is the classic
     // Treiber ABA interval; the tag in the packed head is what makes a
@@ -34,6 +39,7 @@ FrameId FrameStack::Pop() {
     uint64_t desired = Pack(Tag(head) + 1, after);
     if (head_.compare_exchange_weak(head, desired, std::memory_order_acq_rel)) {
       size_.fetch_sub(1, std::memory_order_relaxed);
+      CountWork(GlobalCostModel().freelist_op);
       return top;
     }
   }

@@ -12,6 +12,10 @@
 // next[] array (one slot per frame), so no allocation ever happens on the
 // fault path. ABA on the Treiber stacks is prevented with a 32-bit tag
 // packed next to the top-of-stack id.
+//
+// For the simulated clock (CountWork) every pop that takes a frame and every
+// push counts one freelist_op, and every frame pre-linked into a pushed chain (batch moves
+// between levels, batch frees, broken runs) one freelist_move.
 #ifndef AQUILA_SRC_CACHE_FREELIST_H_
 #define AQUILA_SRC_CACHE_FREELIST_H_
 

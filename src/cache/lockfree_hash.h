@@ -30,6 +30,10 @@
 //
 // Capacity is 2x the frame count (load factor <= 0.5), so probe sequences
 // stay short and tombstone buildup is bounded by reuse on insert.
+//
+// Every operation counts its work for the simulated clock (CountWork): one
+// hash_probe per slot examined and one hash_cas per key claim attempt or
+// removal.
 #ifndef AQUILA_SRC_CACHE_LOCKFREE_HASH_H_
 #define AQUILA_SRC_CACHE_LOCKFREE_HASH_H_
 
@@ -40,6 +44,8 @@
 #include "src/util/bitops.h"
 #include "src/util/cpu.h"
 #include "src/util/logging.h"
+#include "src/util/sim_clock.h"
+#include "src/vmx/cost_model.h"
 
 namespace aquila {
 
@@ -65,6 +71,7 @@ class LockFreeHash {
     AQUILA_DCHECK(key != kEmptyKey && key != kTombstoneKey);
     uint64_t start = Mix64(key) & mask_;
     uint64_t probes = 0;
+    uint64_t cas = 0;
     while (true) {
       uint64_t claim = capacity_;  // sentinel: none found
       uint64_t index = start;
@@ -72,7 +79,7 @@ class LockFreeHash {
         probes++;
         uint64_t cur = slots_[index].key.load(std::memory_order_acquire);
         if (cur == key) {
-          RecordInsertProbes(probes);
+          RecordInsertProbes(probes, cas);
           return false;
         }
         if (cur == kTombstoneKey) {
@@ -93,11 +100,12 @@ class LockFreeHash {
       AQUILA_CHECK(claim != capacity_);  // table full: capacity must exceed frames
       Slot& slot = slots_[claim];
       uint64_t expected = slot.key.load(std::memory_order_acquire);
+      cas++;
       if ((expected == kEmptyKey || expected == kTombstoneKey) &&
           slot.key.compare_exchange_strong(expected, key, std::memory_order_acq_rel)) {
         slot.value.store(value, std::memory_order_release);
         size_.fetch_add(1, std::memory_order_relaxed);
-        RecordInsertProbes(probes);
+        RecordInsertProbes(probes, cas);
         return true;
       }
       // A concurrent insert of a different key took the slot; rescan.
@@ -106,8 +114,50 @@ class LockFreeHash {
 
   // Looks up `key`. Returns true and sets *value on hit.
   bool Lookup(uint64_t key, uint64_t* value) const {
+    uint64_t probes = 0;
+    bool hit = Find(key, value, &probes);
+    CountProbes(probes, 0);
+    return hit;
+  }
+
+  // Removes `key`. Returns false when absent.
+  bool Remove(uint64_t key) {
+    uint64_t probes = 0;
+    bool removed = Erase(key, &probes);
+    CountProbes(probes, removed ? 1 : 0);
+    return removed;
+  }
+
+  uint64_t size() const { return size_.load(std::memory_order_relaxed); }
+  uint64_t capacity() const { return capacity_; }
+
+  // Probe-length accounting for the insert path (the only non-wait-free op:
+  // a scan that fails to stop at the first empty slot degrades to
+  // O(capacity) and this is how the regression test catches it). Inserts run
+  // on the miss path only, so two relaxed adds per insert cost nothing the
+  // paper's hit-path scalability claim cares about.
+  struct ProbeStats {
+    uint64_t insert_calls = 0;
+    uint64_t insert_probes = 0;  // total slots examined across all inserts
+  };
+  ProbeStats probe_stats() const {
+    ProbeStats s;
+    s.insert_calls = insert_calls_.load(std::memory_order_relaxed);
+    s.insert_probes = insert_probes_.load(std::memory_order_relaxed);
+    return s;
+  }
+
+ private:
+  struct Slot {
+    std::atomic<uint64_t> key{kEmptyKey};
+    std::atomic<uint64_t> value{kValueUnset};
+  };
+
+  // Lookup's and Remove's scans; *probes counts the slots examined.
+  bool Find(uint64_t key, uint64_t* value, uint64_t* probes) const {
     uint64_t index = Mix64(key) & mask_;
     for (uint64_t probe = 0; probe < capacity_; probe++, index = (index + 1) & mask_) {
+      ++*probes;
       const Slot& slot = slots_[index];
       uint64_t cur = slot.key.load(std::memory_order_acquire);
       if (cur == kEmptyKey) {
@@ -140,10 +190,10 @@ class LockFreeHash {
     return false;
   }
 
-  // Removes `key`. Returns false when absent.
-  bool Remove(uint64_t key) {
+  bool Erase(uint64_t key, uint64_t* probes) {
     uint64_t index = Mix64(key) & mask_;
     for (uint64_t probe = 0; probe < capacity_; probe++, index = (index + 1) & mask_) {
+      ++*probes;
       Slot& slot = slots_[index];
       uint64_t cur = slot.key.load(std::memory_order_acquire);
       if (cur == kEmptyKey) {
@@ -155,7 +205,7 @@ class LockFreeHash {
         // the key with an acquire CAS ordered after both stores, so readers
         // that observe the new key can only observe kValueUnset (and wait
         // for the insert's publication) — never this entry's stale value.
-        // Readers spinning on kValueUnset re-validate the key (see Lookup),
+        // Readers spinning on kValueUnset re-validate the key (see Find),
         // which bounds their wait when no insert follows.
         slot.value.store(kValueUnset, std::memory_order_release);
         slot.key.store(kTombstoneKey, std::memory_order_release);
@@ -166,34 +216,15 @@ class LockFreeHash {
     return false;
   }
 
-  uint64_t size() const { return size_.load(std::memory_order_relaxed); }
-  uint64_t capacity() const { return capacity_; }
-
-  // Probe-length accounting for the insert path (the only non-wait-free op:
-  // a scan that fails to stop at the first empty slot degrades to
-  // O(capacity) and this is how the regression test catches it). Inserts run
-  // on the miss path only, so two relaxed adds per insert cost nothing the
-  // paper's hit-path scalability claim cares about.
-  struct ProbeStats {
-    uint64_t insert_calls = 0;
-    uint64_t insert_probes = 0;  // total slots examined across all inserts
-  };
-  ProbeStats probe_stats() const {
-    ProbeStats s;
-    s.insert_calls = insert_calls_.load(std::memory_order_relaxed);
-    s.insert_probes = insert_probes_.load(std::memory_order_relaxed);
-    return s;
+  static void CountProbes(uint64_t probes, uint64_t cas) {
+    const CostModel& costs = GlobalCostModel();
+    CountWork(probes * costs.hash_probe + cas * costs.hash_cas);
   }
 
- private:
-  struct Slot {
-    std::atomic<uint64_t> key{kEmptyKey};
-    std::atomic<uint64_t> value{kValueUnset};
-  };
-
-  void RecordInsertProbes(uint64_t probes) {
+  void RecordInsertProbes(uint64_t probes, uint64_t cas) {
     insert_calls_.fetch_add(1, std::memory_order_relaxed);
     insert_probes_.fetch_add(probes, std::memory_order_relaxed);
+    CountProbes(probes, cas);
   }
 
   uint64_t capacity_;                // guarded-by: immutable after construction

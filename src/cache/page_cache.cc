@@ -2,6 +2,8 @@
 
 #include "src/util/logging.h"
 #include "src/util/race_injector.h"
+#include "src/util/sim_clock.h"
+#include "src/vmx/cost_model.h"
 
 namespace aquila {
 
@@ -20,6 +22,10 @@ PageCache::PageCache(Hypervisor* hypervisor, int guest, Vcpu& vcpu, const Option
   metrics_.AddCounter("aquila.cache.lookup_hits", stats_.lookup_hits);
   metrics_.AddCounter("aquila.cache.evictions", stats_.evictions);
   metrics_.AddCounter("aquila.cache.clock_sweeps", stats_.clock_sweeps);
+  metrics_.Add("aquila.cache.hash_inserts", telemetry::MetricKind::kCounter,
+               [this] { return hash_.probe_stats().insert_calls; });
+  metrics_.Add("aquila.cache.hash_insert_probes", telemetry::MetricKind::kCounter,
+               [this] { return hash_.probe_stats().insert_probes; });
   metrics_.AddGauge("aquila.cache.capacity_pages", [this] { return capacity_pages(); });
   metrics_.AddCounter("aquila.freelist.core_hits", freelist_.stats().core_hits);
   metrics_.AddCounter("aquila.freelist.numa_hits", freelist_.stats().numa_hits);
@@ -132,10 +138,12 @@ size_t PageCache::SelectVictims(size_t max, FrameId* out) {
     return 0;
   }
   size_t n = 0;
+  uint64_t steps = 0;
+  uint64_t claims = 0;
   // Bound the sweep: with every frame referenced, two full rotations clear
   // all bits and then claim.
   uint64_t limit = total * 2 + max;
-  for (uint64_t step = 0; step < limit && n < max; step++) {
+  for (; steps < limit && n < max; steps++) {
     uint64_t slot = clock_hand_.fetch_add(1, std::memory_order_relaxed) % total;
     Frame& f = frames_[slot];
     FrameState state = f.state.load(std::memory_order_acquire);
@@ -146,12 +154,15 @@ size_t PageCache::SelectVictims(size_t max, FrameId* out) {
       continue;  // second chance
     }
     AQUILA_RACE_POINT("page_cache.sweep.pre_claim");
+    claims++;
     FrameState expected = FrameState::kResident;
     if (f.state.compare_exchange_strong(expected, FrameState::kEvicting,
                                         std::memory_order_acq_rel)) {
       out[n++] = static_cast<FrameId>(slot);
     }
   }
+  const CostModel& costs = GlobalCostModel();
+  CountWork(steps * costs.sweep_step + claims * costs.sweep_claim);
   stats_.evictions.fetch_add(n, std::memory_order_relaxed);
   return n;
 }

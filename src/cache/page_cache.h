@@ -161,6 +161,8 @@ class PageCache {
   // --- Eviction support -----------------------------------------------------------
   // Clock sweep: claims up to `max` resident frames (state -> kEvicting) and
   // returns them. Frames with the reference bit set get a second chance.
+  // Counts one sweep_step per frame the hand passes and one sweep_claim per
+  // claim CAS (CountWork).
   size_t SelectVictims(size_t max, FrameId* out);
 
   // --- Dirty tracking --------------------------------------------------------------
@@ -188,6 +190,9 @@ class PageCache {
   uint32_t eviction_batch() const { return options_.eviction_batch; }
   const Stats& stats() const { return stats_; }
   const TwoLevelFreelist::Stats& freelist_stats() const { return freelist_.stats(); }
+  // Insert count and slots probed by those inserts, exported as
+  // aquila.cache.hash_inserts / aquila.cache.hash_insert_probes.
+  LockFreeHash::ProbeStats hash_probe_stats() const { return hash_.probe_stats(); }
   uint64_t ApproxFreeFrames() const { return freelist_.ApproxFree(); }
 
  private:

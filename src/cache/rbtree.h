@@ -9,13 +9,17 @@
 //
 // This is a textbook left-leaning-free CLRS red-black tree with parent
 // pointers; not thread-safe (each per-core tree carries its own lock in
-// DirtyTreeSet).
+// DirtyTreeSet). Every operation counts one tree_node per node it visits
+// (descent, successor search, fixup step) for the simulated clock
+// (CountWork).
 #ifndef AQUILA_SRC_CACHE_RBTREE_H_
 #define AQUILA_SRC_CACHE_RBTREE_H_
 
 #include <cstdint>
 
 #include "src/util/logging.h"
+#include "src/util/sim_clock.h"
+#include "src/vmx/cost_model.h"
 
 namespace aquila {
 
@@ -48,13 +52,16 @@ class RbTree {
     RbNode** link = &root_;
     RbNode* parent = nullptr;
     uint64_t key = key_of_(node);
+    uint64_t visited = 1;
     while (*link != nullptr) {
       parent = *link;
       link = key < key_of_(parent) ? &parent->left : &parent->right;
+      visited++;
     }
     node->parent = parent;
     *link = node;
-    FixupInsert(node);
+    visited += FixupInsert(node);
+    CountNodes(visited);
   }
 
   void Remove(RbNode* node) {
@@ -65,6 +72,7 @@ class RbTree {
     RbNode* child;
     RbNode* parent;
     bool red;
+    uint64_t visited = 1;
     if (node->left == nullptr) {
       child = node->right;
       parent = node->parent;
@@ -76,7 +84,7 @@ class RbTree {
       red = node->red;
       Transplant(node, child);
     } else {
-      RbNode* successor = Minimum(node->right);
+      RbNode* successor = Minimum(node->right, &visited);
       red = successor->red;
       child = successor->right;
       if (successor->parent == node) {
@@ -93,24 +101,38 @@ class RbTree {
       successor->red = node->red;
     }
     if (!red) {
-      FixupRemove(child, parent);
+      visited += FixupRemove(child, parent);
     }
     node->parent = node->left = node->right = nullptr;
+    CountNodes(visited);
   }
 
   // Smallest node, or null.
-  RbNode* First() const { return root_ == nullptr ? nullptr : Minimum(root_); }
+  RbNode* First() const {
+    if (root_ == nullptr) {
+      return nullptr;
+    }
+    uint64_t visited = 0;
+    RbNode* first = Minimum(root_, &visited);
+    CountNodes(visited);
+    return first;
+  }
 
   // In-order successor.
   static RbNode* Next(RbNode* node) {
+    uint64_t visited = 0;
     if (node->right != nullptr) {
-      return Minimum(node->right);
+      RbNode* next = Minimum(node->right, &visited);
+      CountNodes(visited);
+      return next;
     }
     RbNode* parent = node->parent;
     while (parent != nullptr && node == parent->right) {
       node = parent;
       parent = parent->parent;
+      visited++;
     }
+    CountNodes(visited + 1);
     return parent;
   }
 
@@ -118,7 +140,9 @@ class RbTree {
   RbNode* LowerBound(uint64_t key) const {
     RbNode* node = root_;
     RbNode* best = nullptr;
+    uint64_t visited = 0;
     while (node != nullptr) {
+      visited++;
       if (key_of_(node) >= key) {
         best = node;
         node = node->left;
@@ -126,6 +150,7 @@ class RbTree {
         node = node->right;
       }
     }
+    CountNodes(visited);
     return best;
   }
 
@@ -133,9 +158,15 @@ class RbTree {
   int Validate() const { return ValidateFrom(root_, nullptr); }
 
  private:
-  static RbNode* Minimum(RbNode* node) {
+  static void CountNodes(uint64_t visited) {
+    CountWork(visited * GlobalCostModel().tree_node);
+  }
+
+  static RbNode* Minimum(RbNode* node, uint64_t* visited) {
+    ++*visited;
     while (node->left != nullptr) {
       node = node->left;
+      ++*visited;
     }
     return node;
   }
@@ -189,8 +220,11 @@ class RbTree {
     }
   }
 
-  void FixupInsert(RbNode* node) {
+  // Both fixups return the number of rebalancing steps taken.
+  uint64_t FixupInsert(RbNode* node) {
+    uint64_t steps = 0;
     while (node->parent != nullptr && node->parent->red) {
+      steps++;
       RbNode* parent = node->parent;
       RbNode* grand = parent->parent;
       if (parent == grand->left) {
@@ -228,10 +262,13 @@ class RbTree {
       }
     }
     root_->red = false;
+    return steps;
   }
 
-  void FixupRemove(RbNode* node, RbNode* parent) {
+  uint64_t FixupRemove(RbNode* node, RbNode* parent) {
+    uint64_t steps = 0;
     while (node != root_ && (node == nullptr || !node->red)) {
+      steps++;
       if (node == parent->left) {
         RbNode* sibling = parent->right;
         if (sibling->red) {
@@ -299,6 +336,7 @@ class RbTree {
     if (node != nullptr) {
       node->red = false;
     }
+    return steps;
   }
 
   int ValidateFrom(const RbNode* node, const RbNode* parent) const {

@@ -341,8 +341,8 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
   // ownership, and only then install the translation and republish. Checking
   // state/key and then writing unpinned would let an evictor free the frame
   // under our feet and leave the PTE pointing at a recycled frame. The wait
-  // itself stays outside the measured scopes (it is host-scheduling noise,
-  // not modeled work).
+  // itself stays outside the measured scopes (it is host scheduling, not
+  // modeled work).
   {
     SpinBackoff backoff;
     while (true) {

@@ -34,7 +34,13 @@ const AsyncMetrics& GetAsyncMetrics() {
 
 void WritebackPlanner::Sort(Vcpu& vcpu) {
   ScopedMeasure measure(vcpu.clock(), CostCategory::kDirtyTracking);
-  std::sort(items_.begin(), items_.end());
+  uint64_t compares = 0;
+  std::sort(items_.begin(), items_.end(), [&compares](const WritebackItem& a,
+                                                      const WritebackItem& b) {
+    compares++;
+    return a < b;
+  });
+  CountWork(compares * GlobalCostModel().sort_compare);
 }
 
 Status WritebackPlanner::SubmitSync(Vcpu& vcpu) {

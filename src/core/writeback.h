@@ -78,7 +78,8 @@ class WritebackPlanner {
   Status SubmitAsync(Vcpu& vcpu);
 
  private:
-  // Sorting is dirty-tree bookkeeping work, charged to kDirtyTracking.
+  // Sorting is dirty-tree bookkeeping work, charged to kDirtyTracking at one
+  // sort_compare per comparison.
   void Sort(Vcpu& vcpu);
 
   std::vector<WritebackItem> items_;

@@ -23,9 +23,7 @@ BlockCache::Shard& BlockCache::ShardFor(uint64_t key) {
 }
 
 std::shared_ptr<const std::string> BlockCache::Lookup(uint64_t file_id, uint64_t offset) {
-  SimClock& clock = ThisThreadClock();
-  clock.Charge(CostCategory::kCacheMgmt, options_.lookup_surcharge);
-  ScopedMeasure measure(clock, CostCategory::kCacheMgmt);
+  ThisThreadClock().Charge(CostCategory::kCacheMgmt, options_.lookup_surcharge);
 
   uint64_t key = MakeKey(file_id, offset);
   Shard& shard = ShardFor(key);
@@ -45,9 +43,7 @@ std::shared_ptr<const std::string> BlockCache::Lookup(uint64_t file_id, uint64_t
 
 void BlockCache::Insert(uint64_t file_id, uint64_t offset,
                         std::shared_ptr<const std::string> block) {
-  SimClock& clock = ThisThreadClock();
-  clock.Charge(CostCategory::kCacheMgmt, options_.insert_surcharge);
-  ScopedMeasure measure(clock, CostCategory::kCacheMgmt);
+  ThisThreadClock().Charge(CostCategory::kCacheMgmt, options_.insert_surcharge);
 
   uint64_t key = MakeKey(file_id, offset);
   uint64_t bytes = block->size() + 64;  // entry overhead

@@ -3,11 +3,10 @@
 //
 // This is the structure whose management the paper measures at ~32 K cycles
 // per RocksDB read (lookups + evictions): every access — hits included —
-// pays a hash probe, a shard lock, and an LRU list splice. The fixed
-// surcharge below models the gap between this compact implementation and
-// RocksDB's production cache (handle tables, ref-counting, charge tracking);
-// the structural costs (locking, hashing, LRU maintenance, block copies)
-// execute for real.
+// pays a hash probe, a shard lock, and an LRU list splice. Those structural
+// operations execute for real, but the simulated clock is charged only the
+// fixed per-operation surcharges below, which model RocksDB's production
+// cache (handle tables, ref-counting, charge tracking, LRU maintenance).
 #ifndef AQUILA_SRC_KVS_BLOCK_CACHE_H_
 #define AQUILA_SRC_KVS_BLOCK_CACHE_H_
 

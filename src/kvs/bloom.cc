@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "src/util/sim_clock.h"
+#include "src/vmx/cost_model.h"
+
 namespace aquila {
 
 uint32_t BloomHash(const Slice& key) {
@@ -72,13 +75,16 @@ bool BloomFilter::MayContain(const Slice& key) const {
   }
   uint32_t h = BloomHash(key);
   uint32_t delta = (h >> 17) | (h << 15);
+  const uint64_t bloom_probe = GlobalCostModel().bloom_probe;
   for (int j = 0; j < k; j++) {
     uint32_t bit = h % bits;
     if ((data_[bit / 8] & (1 << (bit % 8))) == 0) {
+      CountWork((j + 1) * bloom_probe);
       return false;
     }
     h += delta;
   }
+  CountWork(k * bloom_probe);
   return true;
 }
 

@@ -2,6 +2,8 @@
 
 #include "src/kvs/coding.h"
 #include "src/util/logging.h"
+#include "src/util/sim_clock.h"
+#include "src/vmx/cost_model.h"
 
 namespace aquila {
 
@@ -103,8 +105,10 @@ MemTable::Node* MemTable::FindGreaterOrEqual(const Slice& key, uint64_t sequence
                                              Node** prev) const {
   Node* node = head_;
   int level = max_height_.load(std::memory_order_relaxed) - 1;
+  uint64_t visited = 0;
   while (true) {
     Node* next = node->Next(level);
+    visited++;
     if (next != nullptr && CompareEntryToKey(next->entry, key, sequence) < 0) {
       node = next;
     } else {
@@ -112,6 +116,7 @@ MemTable::Node* MemTable::FindGreaterOrEqual(const Slice& key, uint64_t sequence
         prev[level] = node;
       }
       if (level == 0) {
+        CountWork(visited * GlobalCostModel().skiplist_node);
         return next;
       }
       level--;

@@ -5,6 +5,7 @@
 #include "src/kvs/coding.h"
 #include "src/util/crc32c.h"
 #include "src/util/logging.h"
+#include "src/vmx/cost_model.h"
 
 namespace aquila {
 
@@ -228,10 +229,12 @@ Status SstReader::Get(const Slice& key, std::string* value, bool* found, bool* d
     return block.status();
   }
   ScopedMeasure measure(ThisThreadClock(), CostCategory::kUserWork);
+  const uint64_t block_entry = GlobalCostModel().block_entry;
   const char* p = (*block)->data();
   const char* limit = p + (*block)->size();
   while (p < limit) {
     ParsedEntry entry;
+    CountWork(block_entry);
     if (!ParseEntry(p, limit, &entry)) {
       return Status::IoError("corrupt SST block");
     }

@@ -3,6 +3,8 @@
 #include <array>
 
 #include "src/util/logging.h"
+#include "src/util/sim_clock.h"
+#include "src/vmx/cost_model.h"
 
 namespace aquila {
 
@@ -10,6 +12,15 @@ struct PageTable::Node {
   // Interior levels store Node* in the atomics; the leaf level stores PTEs.
   std::array<std::atomic<uint64_t>, kEntriesPerTable> slots{};
 };
+
+namespace {
+
+void CountWalk(uint64_t levels, uint64_t tables_allocated) {
+  const CostModel& costs = GlobalCostModel();
+  CountWork(levels * costs.pt_level + tables_allocated * costs.pt_table_alloc);
+}
+
+}  // namespace
 
 PageTable::PageTable() : root_(new Node()) {}
 
@@ -34,13 +45,14 @@ void PageTable::FreeRecursive(Node* node, int level) {
   delete node;
 }
 
-PageTable::Node* PageTable::EnsureChild(Node* node, int index) {
+PageTable::Node* PageTable::EnsureChild(Node* node, int index, uint64_t* allocated) {
   uint64_t child = node->slots[index].load(std::memory_order_acquire);
   if (child != 0) {
     AQUILA_CHECK(!Pte::Present(child));  // 2 MB leaf: caller must demote first
     return reinterpret_cast<Node*>(child);
   }
   Node* fresh = new Node();
+  ++*allocated;
   uint64_t expected = 0;
   if (node->slots[index].compare_exchange_strong(expected, reinterpret_cast<uint64_t>(fresh),
                                                  std::memory_order_acq_rel)) {
@@ -53,9 +65,11 @@ PageTable::Node* PageTable::EnsureChild(Node* node, int index) {
 
 std::atomic<uint64_t>* PageTable::Walk(uint64_t vaddr) {
   Node* node = root_;
+  uint64_t allocated = 0;
   for (int level = kLevels - 1; level > 0; level--) {
-    node = EnsureChild(node, IndexAt(vaddr, level));
+    node = EnsureChild(node, IndexAt(vaddr, level), &allocated);
   }
+  CountWalk(kLevels, allocated);
   return &node->slots[IndexAt(vaddr, 0)];
 }
 
@@ -66,10 +80,12 @@ std::atomic<uint64_t>* PageTable::WalkExisting(uint64_t vaddr) const {
     // Missing child or a 2 MB leaf (present-flagged value, never a Node*):
     // no 4K slot exists here.
     if (child == 0 || Pte::Present(child)) {
+      CountWalk(kLevels - level, 0);
       return nullptr;
     }
     node = reinterpret_cast<Node*>(child);
   }
+  CountWalk(kLevels, 0);
   return const_cast<std::atomic<uint64_t>*>(&node->slots[IndexAt(vaddr, 0)]);
 }
 
@@ -78,9 +94,11 @@ uint64_t PageTable::Lookup(uint64_t vaddr) const {
   for (int level = kLevels - 1; level > 0; level--) {
     uint64_t child = node->slots[IndexAt(vaddr, level)].load(std::memory_order_acquire);
     if (child == 0) {
+      CountWalk(kLevels - level, 0);
       return 0;
     }
     if (Pte::Present(child)) {
+      CountWalk(kLevels - level, 0);
       // 2 MB leaf (only ever installed at level 1): synthesize the covering
       // 4K view. The run's GPAs are contiguous, so advancing the base by the
       // in-span offset lands on exactly the page a 4K PTE would name.
@@ -90,6 +108,7 @@ uint64_t PageTable::Lookup(uint64_t vaddr) const {
     }
     node = reinterpret_cast<Node*>(child);
   }
+  CountWalk(kLevels, 0);
   return node->slots[IndexAt(vaddr, 0)].load(std::memory_order_acquire);
 }
 
@@ -97,9 +116,11 @@ bool PageTable::InstallHuge(uint64_t vaddr, uint64_t gpa, uint64_t flags) {
   AQUILA_DCHECK(IsAligned(vaddr, kHugePage2M));
   AQUILA_DCHECK(IsAligned(gpa, kPageSize));
   Node* node = root_;
+  uint64_t allocated = 0;
   for (int level = kLevels - 1; level > 1; level--) {
-    node = EnsureChild(node, IndexAt(vaddr, level));
+    node = EnsureChild(node, IndexAt(vaddr, level), &allocated);
   }
+  CountWalk(kLevels - 1, allocated);
   std::atomic<uint64_t>& slot = node->slots[IndexAt(vaddr, 1)];
   uint64_t desired = Pte::Make(gpa, (flags & Pte::kFlagsMask) | Pte::kPresent) | Pte::kHuge;
   uint64_t old = slot.load(std::memory_order_acquire);
@@ -128,12 +149,15 @@ uint64_t PageTable::SplitHuge(uint64_t vaddr) {
   for (int level = kLevels - 1; level > 1; level--) {
     uint64_t child = node->slots[IndexAt(vaddr, level)].load(std::memory_order_acquire);
     if (child == 0) {
+      CountWalk(kLevels - level, 0);
       return 0;
     }
     node = reinterpret_cast<Node*>(child);
   }
   std::atomic<uint64_t>& slot = node->slots[IndexAt(vaddr, 1)];
   uint64_t huge = slot.load(std::memory_order_acquire);
+  // The replacement leaf table below is the one allocation.
+  CountWalk(kLevels - 1, Pte::Present(huge) ? 1 : 0);
   // Present is the pointer-vs-leaf discriminator (a Node* is 8-aligned, so
   // its bit 0 is clear — but bit 7, the PS bit, can be anything in a heap
   // address, so Pte::Huge alone would misread a child table as a leaf).

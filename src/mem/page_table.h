@@ -12,6 +12,10 @@
 // Intermediate tables are installed lock-free with CAS and never freed until
 // the table is destroyed (address-space teardown), which removes all ABA and
 // use-after-free concerns from the fault path.
+//
+// Every operation counts its work for the simulated clock (CountWork): one
+// pt_level per level it descends and one pt_table_alloc per table it
+// allocates.
 #ifndef AQUILA_SRC_MEM_PAGE_TABLE_H_
 #define AQUILA_SRC_MEM_PAGE_TABLE_H_
 
@@ -109,7 +113,9 @@ class PageTable {
     return static_cast<int>((vaddr >> (kPageShift + 9 * level)) & (kEntriesPerTable - 1));
   }
 
-  Node* EnsureChild(Node* node, int index);
+  // Returns the child table at `index`, allocating it if absent (counted in
+  // *allocated).
+  Node* EnsureChild(Node* node, int index, uint64_t* allocated);
   static void FreeRecursive(Node* node, int level);
 
   Node* root_;

@@ -2,10 +2,6 @@
 
 #include <cstdio>
 
-#include <ctime>
-
-#include "src/util/cpu.h"
-
 namespace aquila {
 
 const char* CostCategoryName(CostCategory c) {
@@ -151,28 +147,6 @@ void SerializedResource::Reset() {
   queueing_.store(0, std::memory_order_relaxed);
   service_.store(0, std::memory_order_relaxed);
   acquisitions_.store(0, std::memory_order_relaxed);
-}
-
-namespace {
-
-// Per-thread CPU time in nanoseconds: unlike rdtsc, it excludes time the
-// thread spends descheduled, so measurements stay meaningful when the
-// simulation runs many worker threads on few host CPUs.
-uint64_t ThreadCpuNs() {
-  struct timespec ts;
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull + static_cast<uint64_t>(ts.tv_nsec);
-}
-
-}  // namespace
-
-ScopedMeasure::ScopedMeasure(SimClock& clock, CostCategory category)
-    : clock_(clock), category_(category), start_(ThreadCpuNs()) {}
-
-ScopedMeasure::~ScopedMeasure() {
-  uint64_t elapsed_ns = ThreadCpuNs() - start_;
-  // ns -> cycles at the modeled 2.4 GHz.
-  clock_.Charge(category_, elapsed_ns * 24 / 10);
 }
 
 }  // namespace aquila

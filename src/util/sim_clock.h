@@ -2,16 +2,22 @@
 //
 // The reproduction runs every software path for real (hash tables, trees,
 // page tables, memcpy) but *time* is accounted on per-thread simulated
-// clocks, for two reasons:
+// clocks, for three reasons:
 //   1. Privilege transitions (ring3 traps, vmexits, IPIs) cannot be executed
 //      in an unprivileged container; their costs are charged from the
 //      paper's measured constants (see src/vmx/cost_model.h).
-//   2. The host has a single physical CPU; genuine 32-thread parallelism is
-//      not observable. Per-thread clocks advance independently (cores run in
-//      parallel in the model) and *shared* resources — the Linux baseline's
-//      page-tree lock, device bandwidth — are modeled as FCFS servers whose
-//      queueing delay is charged to the waiting thread. This reproduces the
-//      contention collapse of the single-lock baseline deterministically.
+//   2. The host may have fewer CPUs than the modeled machine has cores, so
+//      genuine 32-thread parallelism is not observable. Per-thread clocks
+//      advance independently (cores run in parallel in the model) and
+//      *shared* resources — the Linux baseline's page-tree lock, device
+//      bandwidth — are modeled as FCFS servers whose queueing delay is
+//      charged to the waiting thread. This reproduces the contention
+//      collapse of the single-lock baseline deterministically.
+//   3. The software paths that do run for real are charged from what they
+//      count (hash slots probed, freelist pops, tree nodes visited,
+//      page-table levels walked; see CountWork below), not from a host
+//      clock, so a single-threaded run charges the same cycles every time
+//      and the charge costs the host almost nothing.
 //
 // Every charge lands in a CostCategory so benches can print the paper's
 // breakdown figures (Fig 7, Fig 8) directly from the accounting.
@@ -158,13 +164,36 @@ class SerializedResource {
   std::atomic<uint64_t> acquisitions_{0};
 };
 
-// RAII cycle measurement: charges the real (rdtsc-measured) duration of a
-// scope to a category on a SimClock. Used for software paths we execute for
-// real (hash lookups, tree ops, memcpy).
+// Modeled cycles of counted software work done by the calling thread. The
+// data structures that run for real add `units x constant` here as they
+// work (the constants live in CostModel, each calibrated from a
+// bench_ablation microbench); ScopedMeasure turns the work done inside its
+// scope into a charge. Work outside any scope is counted and never charged.
+namespace internal {
+inline thread_local uint64_t tls_work_cycles = 0;
+}  // namespace internal
+
+inline void CountWork(uint64_t cycles) { internal::tls_work_cycles += cycles; }
+
+// The calling thread's counted work since the innermost open ScopedMeasure
+// opened or, when none is open, the work it counted outside any scope (tests
+// and microbenches read it to report modeled cycles per op).
+inline uint64_t CountedWork() { return internal::tls_work_cycles; }
+
+// RAII charge of counted software work: the cycles CountWork adds while the
+// scope is open are charged to `category` on `clock` when it closes. A
+// scope around no counted work charges 0. Nested scopes charge only their
+// own work: the outer scope's count is set aside while an inner one is open.
 class ScopedMeasure {
  public:
-  ScopedMeasure(SimClock& clock, CostCategory category);
-  ~ScopedMeasure();
+  ScopedMeasure(SimClock& clock, CostCategory category)
+      : clock_(clock), category_(category), outer_(internal::tls_work_cycles) {
+    internal::tls_work_cycles = 0;
+  }
+  ~ScopedMeasure() {
+    clock_.Charge(category_, internal::tls_work_cycles);
+    internal::tls_work_cycles = outer_;
+  }
 
   ScopedMeasure(const ScopedMeasure&) = delete;
   ScopedMeasure& operator=(const ScopedMeasure&) = delete;
@@ -172,7 +201,7 @@ class ScopedMeasure {
  private:
   SimClock& clock_;
   CostCategory category_;
-  uint64_t start_;
+  uint64_t outer_;  // the enclosing scope's count, restored on close
 };
 
 }  // namespace aquila

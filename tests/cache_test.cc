@@ -13,6 +13,8 @@
 #include "src/cache/page_cache.h"
 #include "src/cache/rbtree.h"
 #include "src/util/rng.h"
+#include "src/util/sim_clock.h"
+#include "src/vmx/cost_model.h"
 
 namespace aquila {
 namespace {
@@ -391,6 +393,42 @@ TEST_F(PageCacheTest, FrameLifecycle) {
   EXPECT_TRUE(cache_->RemoveMapping(0x8000000000000001ull));
   cache_->FreeFrame(0, f);
   EXPECT_EQ(cache_->frame(f).state.load(), FrameState::kFree);
+}
+
+TEST_F(PageCacheTest, ExportsHashInsertProbes) {
+  for (uint64_t key = 1; key <= 100; key++) {
+    ASSERT_TRUE(cache_->InsertMapping(key, static_cast<FrameId>(key)));
+  }
+  const LockFreeHash::ProbeStats probes = cache_->hash_probe_stats();
+  EXPECT_EQ(probes.insert_calls, 100u);
+  EXPECT_GE(probes.insert_probes, probes.insert_calls);
+  const telemetry::MetricsSnapshot snap = telemetry::Registry().Snapshot();
+  ASSERT_NE(snap.Find("aquila.cache.hash_inserts"), nullptr);
+  ASSERT_NE(snap.Find("aquila.cache.hash_insert_probes"), nullptr);
+  EXPECT_EQ(snap.Find("aquila.cache.hash_inserts")->value, probes.insert_calls);
+  EXPECT_EQ(snap.Find("aquila.cache.hash_insert_probes")->value, probes.insert_probes);
+}
+
+TEST_F(PageCacheTest, CountsHashAndSweepWork) {
+  // Charged per counted unit: a lookup that probes one slot and a sweep
+  // that claims one frame cost exactly their constants.
+  const CostModel& costs = GlobalCostModel();
+  ASSERT_TRUE(cache_->InsertMapping(7, 3));
+  uint64_t before = CountedWork();
+  FrameId frame;
+  ASSERT_TRUE(cache_->Lookup(7, &frame));
+  EXPECT_EQ(CountedWork() - before, costs.hash_probe);
+
+  FrameId f = cache_->AllocFrame(vcpu_, 0);
+  ASSERT_NE(f, kInvalidFrame);
+  cache_->frame(f).state.store(FrameState::kResident);
+  cache_->frame(f).referenced.store(0);
+  FrameId victim;
+  before = CountedWork();
+  ASSERT_EQ(cache_->SelectVictims(1, &victim), 1u);
+  EXPECT_EQ(victim, f);
+  // A fresh hand starts at frame 0 and passes only free frames before `f`.
+  EXPECT_EQ(CountedWork() - before, (f + 1) * costs.sweep_step + costs.sweep_claim);
 }
 
 TEST_F(PageCacheTest, ExhaustionAndVictimSelection) {

@@ -761,5 +761,100 @@ TEST_F(AsyncAquilaTest, MultiThreadedAsyncIntegrity) {
   EXPECT_EQ(runtime_->cache().ApproxFreeFrames(), kCachePages);
 }
 
+// --- Deterministic charging ------------------------------------------------------
+
+// What one run of the fixed sequence below charged this thread, and what it did.
+struct SequenceCharges {
+  CostBreakdown charges;
+  uint64_t evicted_pages = 0;
+  uint64_t write_upgrades = 0;
+  uint64_t writeback_pages = 0;
+};
+
+// A fixed single-thread sequence on a fresh runtime over `device`: major
+// faults over a file 4x the cache (so EvictBatch runs), write upgrades on
+// pages read first, re-dirtied pages and one Sync over the whole mapping.
+SequenceCharges RunFixedSequence(BlockDevice* device) {
+  constexpr uint64_t kCachePages = 256;
+  constexpr uint64_t kBytes = 4 * kCachePages * kPageSize;
+  SimClock& clock = ThisThreadClock();
+  clock.Reset();
+  Aquila::Options options;
+  options.hypervisor.host_memory_bytes = 64ull << 20;
+  options.hypervisor.chunk_size = 1ull << 20;
+  options.cache.capacity_pages = kCachePages;
+  options.cache.max_pages = kCachePages;
+  options.cache.eviction_batch = 64;
+  options.cache.freelist.core_queue_threshold = 64;
+  options.cache.freelist.move_batch = 32;
+  SequenceCharges out;
+  {
+    Aquila runtime(options);
+    DeviceBacking backing(device, 0, kBytes);
+    StatusOr<MemoryMap*> map = runtime.Map(&backing, kBytes, kProtRead | kProtWrite);
+    EXPECT_TRUE(map.ok());
+    if (!map.ok()) {
+      return out;
+    }
+    Rng rng(11);
+    for (int i = 0; i < 2000; i++) {
+      uint64_t offset = rng.Uniform(kBytes / kPageSize) * kPageSize;
+      (*map)->TouchRead(offset);
+      if (i % 4 == 0) {
+        (*map)->TouchWrite(offset);  // an upgrade: the page was just read
+      }
+    }
+    EXPECT_TRUE((*map)->Sync(0, kBytes).ok());
+    EXPECT_TRUE(runtime.Unmap(*map).ok());
+    out.evicted_pages = runtime.fault_stats().evicted_pages.load();
+    out.write_upgrades = runtime.fault_stats().write_upgrades.load();
+    out.writeback_pages = runtime.fault_stats().writeback_pages.load();
+  }
+  out.charges = clock.Breakdown();
+  return out;
+}
+
+void ExpectSameCharges(const SequenceCharges& a, const SequenceCharges& b) {
+  EXPECT_EQ(a.evicted_pages, b.evicted_pages);
+  EXPECT_EQ(a.write_upgrades, b.write_upgrades);
+  EXPECT_EQ(a.writeback_pages, b.writeback_pages);
+  for (size_t i = 0; i < a.charges.cycles.size(); i++) {
+    EXPECT_EQ(a.charges.cycles[i], b.charges.cycles[i])
+        << CostCategoryName(static_cast<CostCategory>(i));
+  }
+}
+
+TEST(DeterministicChargeTest, PmemSequenceChargesIdenticallyTwice) {
+  PmemDevice::Options dev_options;
+  dev_options.capacity_bytes = 8ull << 20;
+  PmemDevice first_device(dev_options);
+  SequenceCharges first = RunFixedSequence(&first_device);
+  PmemDevice second_device(dev_options);
+  SequenceCharges second = RunFixedSequence(&second_device);
+
+  // The sequence exercised what it claims to.
+  EXPECT_GT(first.evicted_pages, 0u);
+  EXPECT_GT(first.write_upgrades, 0u);
+  EXPECT_GT(first.writeback_pages, 0u);
+  EXPECT_GT(first.charges[CostCategory::kCacheMgmt], 0u);
+  EXPECT_GT(first.charges[CostCategory::kDirtyTracking], 0u);
+  ExpectSameCharges(first, second);
+}
+
+TEST(DeterministicChargeTest, NvmeSequenceChargesIdenticallyTwice) {
+  NvmeController::Options ctrl_options;
+  ctrl_options.capacity_bytes = 8ull << 20;
+  NvmeController first_ctrl(ctrl_options);
+  NvmeDevice first_device(&first_ctrl);
+  SequenceCharges first = RunFixedSequence(&first_device);
+  NvmeController second_ctrl(ctrl_options);
+  NvmeDevice second_device(&second_ctrl);
+  SequenceCharges second = RunFixedSequence(&second_device);
+
+  EXPECT_GT(first.evicted_pages, 0u);
+  EXPECT_GT(first.writeback_pages, 0u);
+  ExpectSameCharges(first, second);
+}
+
 }  // namespace
 }  // namespace aquila

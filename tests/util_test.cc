@@ -278,6 +278,44 @@ TEST(SerializedResourceTest, ConcurrentAcquisitionsSerialize) {
   EXPECT_EQ(res.TotalServiceCycles(), static_cast<uint64_t>(kThreads) * kOps * 10);
 }
 
+TEST(ScopedMeasureTest, ScopeAroundNoCountedWorkChargesZero) {
+  SimClock clock;
+  {
+    ScopedMeasure measure(clock, CostCategory::kCacheMgmt);
+  }
+  EXPECT_EQ(clock.Now(), 0u);
+  EXPECT_EQ(clock.Breakdown().Total(), 0u);
+}
+
+TEST(ScopedMeasureTest, ChargesCountedWorkInsideOnly) {
+  SimClock clock;
+  CountWork(1000);  // outside any scope: never charged
+  {
+    ScopedMeasure measure(clock, CostCategory::kCacheMgmt);
+    CountWork(30);
+    CountWork(12);
+  }
+  CountWork(500);
+  EXPECT_EQ(clock.Breakdown()[CostCategory::kCacheMgmt], 42u);
+  EXPECT_EQ(clock.Now(), 42u);
+}
+
+TEST(ScopedMeasureTest, NestedScopesChargeTheirOwnWork) {
+  SimClock clock;
+  {
+    ScopedMeasure outer(clock, CostCategory::kCacheMgmt);
+    CountWork(10);
+    {
+      ScopedMeasure inner(clock, CostCategory::kPageTable);
+      CountWork(7);
+    }
+    CountWork(5);
+  }
+  EXPECT_EQ(clock.Breakdown()[CostCategory::kPageTable], 7u);
+  EXPECT_EQ(clock.Breakdown()[CostCategory::kCacheMgmt], 15u);
+  EXPECT_EQ(clock.Now(), 22u);
+}
+
 TEST(CostBreakdownTest, Arithmetic) {
   CostBreakdown a, b;
   a.cycles[0] = 100;

@@ -31,6 +31,8 @@ VALID_RE = re.compile(r"^aquila(\.[a-z0-9_]+){2,}$")
 # Metric names external consumers rely on (EXPERIMENTS.md trajectories,
 # BENCH_*.json emitters, DESIGN.md). Keep sorted.
 REQUIRED_NAMES = frozenset({
+    "aquila.cache.hash_insert_probes",
+    "aquila.cache.hash_inserts",
     "aquila.core.async_fills",
     "aquila.core.async_overlap_cycles",
     "aquila.core.async_writebacks",
