@@ -206,8 +206,8 @@ int main(int argc, char** argv) {
     uint64_t start = vcpu.clock().Now();
     CostBreakdown before = vcpu.clock().Breakdown();
     // Driven through the batched surface (one request per batch keeps the
-    // per-op latency measurement): the sync fallback services the touch
-    // during SubmitBatch; AQUILA_COOP_SCHED=1 routes it via the scheduler.
+    // per-op latency measurement): the touch runs on the cooperative
+    // scheduler, parking at its fault until the device read completes.
     MmioCompletion completion;
     for (uint64_t i = 0; i < kOps; i++) {
       uint64_t begin = vcpu.clock().Now();

@@ -129,17 +129,16 @@ inline std::unique_ptr<TestDevice> MakeNvme(uint64_t capacity) {
   return dev;
 }
 
-// Parses a shootdown-mode name; falls back to `fallback` on anything else.
+// Parses a shootdown-mode name; unset or empty returns `fallback`. An
+// unknown name prints the accepted ones and exits, so a misspelled or
+// retired mode never silently measures the default.
 inline ShootdownMaskMode ParseShootdownMode(const char* s, ShootdownMaskMode fallback) {
-  if (s == nullptr) {
+  if (s == nullptr || *s == '\0') {
     return fallback;
   }
   std::string mode(s);
   if (mode == "broadcast") {
     return ShootdownMaskMode::kBroadcast;
-  }
-  if (mode == "mask") {
-    return ShootdownMaskMode::kMask;
   }
   if (mode == "mask+gen" || mode == "maskgen" || mode == "mask_gen") {
     return ShootdownMaskMode::kMaskGen;
@@ -147,16 +146,22 @@ inline ShootdownMaskMode ParseShootdownMode(const char* s, ShootdownMaskMode fal
   if (mode == "reuse" || mode == "reuse_elide") {
     return ShootdownMaskMode::kReuseElide;
   }
-  return fallback;
+  std::fprintf(stderr,
+               "unknown AQUILA_SHOOTDOWN_MODE '%s'; accepted: broadcast, mask+gen "
+               "(maskgen, mask_gen), reuse (reuse_elide)\n",
+               s);
+  std::exit(2);
 }
 
 // Standard Aquila runtime for a given cache size. Every mapping writes back
 // and reads ahead through the async device-queue pipeline (DESIGN.md §9);
 // AQUILA_ASYNC_QUEUE_DEPTH=<n> sizes its per-mapping device queue (default
 // 32; 1 keeps a single request in flight). AQUILA_SHOOTDOWN_MODE
-// (broadcast|mask|mask+gen|reuse) overrides the shootdown IPI targeting
-// policy (default mask+gen, the library default; reuse adds the deferred
-// same-owner elision of DESIGN.md §10). Observability knobs:
+// (broadcast|mask+gen|reuse) overrides the shootdown IPI targeting policy
+// (default mask+gen, the library default; reuse adds the deferred
+// same-owner elision of DESIGN.md §10; any other name is rejected).
+// Batches submitted through MemoryMap::SubmitBatch always run on the
+// cooperative scheduler (DESIGN.md §13). Observability knobs:
 // AQUILA_SPAN_SAMPLE=<n> samples 1-in-n requests into the span collector,
 // AQUILA_SLOW_TRACE_US=<us> keeps whole trees for sampled requests slower
 // than that, and AQUILA_STATS_PORT=<p> serves /metrics, /metrics.json,
@@ -184,20 +189,6 @@ inline Aquila::Options AquilaOptions(uint64_t cache_bytes, int active_cores = 0)
   if (const char* hedge = std::getenv("AQUILA_HEDGE_READS");
       hedge != nullptr && *hedge != '\0' && *hedge != '0') {
     options.hedge_reads = true;
-  }
-  // Cooperative fault scheduling: AQUILA_COOP_SCHED=1 parks batch requests
-  // at fault-path wait points and overlaps their fills; unset keeps the
-  // blocking fault path.
-  // AQUILA_SCHED_MAX_PARKED=<n> caps each core's parked table (default 64).
-  if (const char* coop = std::getenv("AQUILA_COOP_SCHED");
-      coop != nullptr && *coop != '\0' && *coop != '0') {
-    options.coop_sched = true;
-  }
-  if (const char* parked = std::getenv("AQUILA_SCHED_MAX_PARKED"); parked != nullptr) {
-    int n = std::atoi(parked);
-    if (n >= 1) {
-      options.sched_max_parked = static_cast<uint32_t>(n);
-    }
   }
   // Transparent 2 MB huge pages: AQUILA_HUGE_PAGES=1 turns on run carving,
   // fault-around, and density-triggered promotion (unset keeps the 4K path
@@ -377,7 +368,6 @@ class BenchJsonWriter {
         "AQUILA_SHOOTDOWN_MODE",    "AQUILA_SPAN_SAMPLE",     "AQUILA_SLOW_TRACE_US",
         "AQUILA_STATS_PORT",        "AQUILA_FAULT_SEED",      "AQUILA_FAULT_READ_ERR",
         "AQUILA_FAULT_WRITE_ERR",   "AQUILA_DEVICE_TIMEOUT_US", "AQUILA_HEDGE_READS",
-        "AQUILA_COOP_SCHED",        "AQUILA_SCHED_MAX_PARKED",
         "AQUILA_HUGE_PAGES",        "AQUILA_HUGE_PROMOTE_THRESHOLD",
         "AQUILA_FAULT_AROUND",
     };

@@ -1,7 +1,7 @@
 // Customizing the I/O path — the flexibility argument of the paper (§3.3,
 // contribution 1): the same application code runs over different device
-// access methods, cache sizes, advice policies, and IPI send paths, all
-// chosen per mapping / per runtime instead of baked into the kernel.
+// access methods, cache sizes, advice policies, and shootdown targeting,
+// all chosen per mapping / per runtime instead of baked into the kernel.
 //
 // This example measures one workload (random point reads of 64-byte
 // records) under four configurations and prints the modeled cost per read.
@@ -79,14 +79,13 @@ int main() {
     Aquila::Options a;
     a.cache.capacity_pages = (16ull << 20) / kPageSize;
     a.cache.max_pages = (64ull << 20) / kPageSize;
-    a.readahead_pages = 16;
     Aquila runtime(a);
     std::printf("%-34s %14.0f\n", "nvme, SPDK direct, sequential+RA",
                 MeasureReads(runtime, &nvme, Advice::kSequential, kReads));
   }
   {
     // 4. NVMe random reads with a tiny cache: eviction in the common path,
-    //    posted (vmexit-less) IPIs instead of the DoS-protected send.
+    //    broadcast shootdowns (the paper's baseline) instead of mask+gen.
     NvmeController::Options o;
     o.capacity_bytes = 64ull << 20;
     NvmeController controller(o);
@@ -94,9 +93,9 @@ int main() {
     Aquila::Options a;
     a.cache.capacity_pages = (2ull << 20) / kPageSize;
     a.cache.max_pages = (8ull << 20) / kPageSize;
-    a.ipi_send_path = PostedIpiFabric::SendPath::kPosted;
+    a.shootdown_mask_mode = ShootdownMaskMode::kBroadcast;
     Aquila runtime(a);
-    std::printf("%-34s %14.0f\n", "nvme, tiny cache, posted IPIs",
+    std::printf("%-34s %14.0f\n", "nvme, tiny cache, broadcast",
                 MeasureReads(runtime, &nvme, Advice::kRandom, kReads));
   }
   return 0;

@@ -16,7 +16,7 @@ Aquila::Aquila(const Options& options)
     : options_(options),
       hypervisor_(options.hypervisor),
       guest_(hypervisor_.CreateGuest()),
-      fabric_(options.ipi_send_path) {
+      sched_(std::make_unique<SchedRegistry>()) {
   EnterThread();
   // Huge pages need aligned runs carved at Grow time; with the option off
   // the freelist keeps its exact pre-huge-page layout (byte-identical off
@@ -67,16 +67,13 @@ Aquila::Aquila(const Options& options)
     metrics_.AddCounter("aquila.huge.promote_aborts", huge_stats_.promote_aborts);
   }
 
-  if (options_.coop_sched) {
-    sched_ = std::make_unique<SchedRegistry>(options_.sched_max_parked);
-    metrics_.AddCounter("aquila.sched.parked", sched_->parked_total);
-    metrics_.AddCounter("aquila.sched.resumed", sched_->resumed_total);
-    metrics_.AddCounter("aquila.sched.steals", sched_->steals);
-    metrics_.Add("aquila.sched.park_depth", telemetry::MetricKind::kGauge, [this] {
-      int64_t depth = sched_->parked_depth.load(std::memory_order_relaxed);
-      return static_cast<uint64_t>(depth > 0 ? depth : 0);
-    });
-  }
+  metrics_.AddCounter("aquila.sched.parked", sched_->parked_total);
+  metrics_.AddCounter("aquila.sched.resumed", sched_->resumed_total);
+  metrics_.AddCounter("aquila.sched.steals", sched_->steals);
+  metrics_.Add("aquila.sched.park_depth", telemetry::MetricKind::kGauge, [this] {
+    int64_t depth = sched_->parked_depth.load(std::memory_order_relaxed);
+    return static_cast<uint64_t>(depth > 0 ? depth : 0);
+  });
 
   if (options_.span_sample_every > 0) {
     telemetry::SpanCollector::Options span_options =
@@ -133,8 +130,8 @@ void Aquila::ShootdownPages(Vcpu& vcpu, std::span<const PageShootdown> pages) {
     return;
   }
   telemetry::ChildSpan span(vcpu.clock(), telemetry::SpanPhase::kShootdown, pages.size());
-  for (size_t i = 0; i < pages.size(); i += options_.shootdown_batch) {
-    size_t n = std::min<size_t>(options_.shootdown_batch, pages.size() - i);
+  for (size_t i = 0; i < pages.size(); i += kShootdownBatch) {
+    size_t n = std::min<size_t>(kShootdownBatch, pages.size() - i);
     tlb_.Shootdown(vcpu.clock(), vcpu.core(), active_cores(), pages.subspan(i, n),
                    fabric_, options_.shootdown_mask_mode);
   }
@@ -375,9 +372,6 @@ StatusOr<MemoryMap*> Aquila::MapTransparent(Backing* backing, uint64_t length, i
 
 void Aquila::WakeParked(uint64_t key, FrameId frame, const Status& status,
                         int waker_core) {
-  if (sched_ == nullptr) {
-    return;
-  }
   (void)sched_->Wake(key, frame, status, waker_core);
 }
 

@@ -359,7 +359,7 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
         // invisible until its completion publishes it into the hash. Wait
         // it out instead of issuing a duplicate device read; afterwards the
         // single lookup below is final again.
-        if (coop != nullptr && coop->sched != nullptr && engine_->HasPendingFill(key)) {
+        if (coop != nullptr && engine_->HasPendingFill(key)) {
           // Park point (a): someone else's fill is in flight for this page.
           // Reserve the parked-table entry FIRST, then re-check — the
           // completion's Wake runs under the engine lock we re-take in
@@ -439,7 +439,7 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
         return frame;
       }
       if (expected == FrameState::kWritingBack) {
-        if (coop != nullptr && coop->sched != nullptr) {
+        if (coop != nullptr) {
           // Park point (b): an async writeback owns this frame; its
           // completion Wakes every parked entry for the key (non-terminal).
           // Reserve first, then re-read the state — a completion that landed
@@ -512,12 +512,11 @@ StatusOr<FrameId> AquilaMap::HandleFault(Vcpu& vcpu, uint64_t vaddr, bool write,
   // failure backstop below a single call. A cooperative demand fill forgoes
   // elision: its fill completes in CompleteLocked, where the failure
   // backstop below cannot run (same reason read-ahead fills never elide).
-  const bool coop_fill = coop != nullptr && coop->sched != nullptr;
   const bool elided = runtime_->ResolveReuseStamp(vcpu, stamp, frame, page,
                                                   vma_.mapping_id,
-                                                  /*allow_elide=*/!coop_fill);
+                                                  /*allow_elide=*/coop == nullptr);
 
-  if (coop_fill) {
+  if (coop != nullptr) {
     // Park point (c): submit the device read asynchronously and park as this
     // fill's OWNER — the completion publishes the page (counting the major
     // fault) and delivers its status terminally to us. The frame stays
@@ -624,7 +623,7 @@ Status AquilaMap::ReadAhead(Vcpu& vcpu, uint64_t file_page) {
   }
   telemetry::ChildSpan readahead_span(vcpu.clock(), telemetry::SpanPhase::kReadahead, file_page);
   PageCache& cache = runtime_->cache();
-  uint32_t window = runtime_->options().readahead_pages;
+  uint32_t window = Aquila::kReadaheadPages;
   uint64_t first = file_page + 1;
   const uint64_t last = file_page + window;
   const bool track_stream = advice_.load(std::memory_order_relaxed) == Advice::kSequential;
@@ -982,11 +981,7 @@ void AquilaMap::CoopStep(Vcpu& vcpu, CoreScheduler* sched, CoreScheduler::Task* 
 }
 
 Status AquilaMap::SubmitBatch(std::span<const MmioRequest> requests) {
-  SchedRegistry* registry = runtime_->sched();
-  if (registry == nullptr) {
-    return MemoryMap::SubmitBatch(requests);  // synchronous fallback
-  }
-  CoreScheduler* sched = registry->ForCore(ThisVcpu().core());
+  CoreScheduler* sched = runtime_->sched()->ForCore(ThisVcpu().core());
   for (const MmioRequest& req : requests) {
     sched->Enqueue(this, req);
   }
@@ -994,15 +989,11 @@ Status AquilaMap::SubmitBatch(std::span<const MmioRequest> requests) {
 }
 
 size_t AquilaMap::Poll(std::span<MmioCompletion> out) {
-  SchedRegistry* registry = runtime_->sched();
-  if (registry == nullptr) {
-    return MemoryMap::Poll(out);
-  }
   if (out.empty()) {
     return 0;
   }
   Vcpu& vcpu = ThisVcpu();
-  CoreScheduler* sched = registry->ForCore(vcpu.core());
+  CoreScheduler* sched = runtime_->sched()->ForCore(vcpu.core());
   while (true) {
     (void)sched->RunReady(vcpu);
     size_t n = sched->PopCompleted(this, out);
@@ -1213,7 +1204,7 @@ Status AquilaMap::Advise(uint64_t offset, uint64_t length, Advice advice) {
         (void)ReadAhead(vcpu, first - 1);  // best effort, like the fault path
       }
       for (uint64_t file_page = first; file_page < last;
-           file_page += runtime_->options().readahead_pages) {
+           file_page += Aquila::kReadaheadPages) {
         (void)ReadAhead(vcpu, file_page);
       }
       return Status::Ok();

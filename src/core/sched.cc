@@ -74,7 +74,7 @@ void CoreScheduler::KickParked() {
 
 uint64_t CoreScheduler::PrePark(uint64_t key, FrameId frame) {
   std::lock_guard<SpinLock> guard(table_lock_);
-  if (parked_.size() >= registry_->max_parked_) {
+  if (parked_.size() >= kMaxParked) {
     return 0;  // table full: the caller blocks instead
   }
   ParkedRequest entry;

@@ -64,6 +64,10 @@ struct ParkedRequest {
 
 class CoreScheduler {
  public:
+  // Per-core cap on simultaneously parked requests; a park attempt past the
+  // cap falls back to the blocking protocol for that access.
+  static constexpr size_t kMaxParked = 64;
+
   CoreScheduler(SchedRegistry* registry, int core);
 
   // --- Run queue (this core's submitting thread only; no locking) -------------
@@ -92,8 +96,8 @@ class CoreScheduler {
 
   // --- Parked table (cross-thread; table lock) --------------------------------
   // Reserves a parked entry and returns its ticket, or 0 when the table is
-  // at Options::sched_max_parked — the fault path then falls back to the
-  // blocking protocol for this access. Call BEFORE the condition re-check.
+  // at kMaxParked — the fault path then falls back to the blocking protocol
+  // for this access. Call BEFORE the condition re-check.
   uint64_t PrePark(uint64_t key, FrameId frame);
   // Drops a reservation whose condition vanished before the park committed.
   void CancelPark(uint64_t token);
@@ -126,8 +130,6 @@ class CoreScheduler {
 // anywhere) is one relaxed load of parked_depth_.
 class SchedRegistry {
  public:
-  explicit SchedRegistry(uint32_t max_parked) : max_parked_(max_parked) {}
-
   // The calling core's scheduler, created on first use.
   CoreScheduler* ForCore(int core);
   // The scheduler for `core` if one exists (never creates); may be null.
@@ -138,8 +140,6 @@ class SchedRegistry {
   // immediately when nothing is parked anywhere.
   size_t Wake(uint64_t key, FrameId frame, const Status& status, int waker_core);
 
-  uint32_t max_parked() const { return max_parked_; }
-
   // --- aquila.sched.* ---------------------------------------------------------
   std::atomic<uint64_t> parked_total{0};   // parks committed
   std::atomic<uint64_t> resumed_total{0};  // parked tasks resumed
@@ -149,7 +149,6 @@ class SchedRegistry {
  private:
   friend class CoreScheduler;
 
-  uint32_t max_parked_;
   std::atomic<uint64_t> next_token_{1};
 
   mutable SpinLock cores_lock_;

@@ -19,9 +19,9 @@
 // Shootdown overload uses both to shrink the IPI fan-out from
 // O(active_cores) to O(cores-that-mapped-it):
 //   - a core with no bit in any page of the batch is skipped entirely;
-//   - with ShootdownMaskMode::kMaskGen, a core whose whole TLB was flushed
-//     after a page's last insert is skipped for that page (the reused-pages
-//     elision; see PAPERS.md "Skip TLB flushes for reused pages");
+//   - a core whose whole TLB was flushed after a page's last insert is
+//     skipped for that page (the reused-pages elision; see PAPERS.md "Skip
+//     TLB flushes for reused pages");
 //   - when every surviving target is the initiator itself, the remote phase
 //     is fully elided (the common case for private streams).
 // Both the mask and the epoch are conservative under races (an insert
@@ -48,8 +48,8 @@ namespace aquila {
 // How Shootdown picks its IPI targets (Options::shootdown_mask_mode).
 enum class ShootdownMaskMode : uint8_t {
   kBroadcast,   // one IPI per active core, the paper's §4.1 baseline
-  kMask,        // skip cores with no bit in the batch's per-page cpu masks
-  kMaskGen,     // kMask, plus skip cores fully flushed since a page's insert
+  kMaskGen,     // skip cores with no bit in the batch's per-page cpu masks
+                // and cores fully flushed since a page's insert
   kReuseElide,  // kMaskGen, plus defer the flush for clean recycled frames:
                 // the fault path elides it entirely on same-owner reuse and
                 // executes it (debt-amortized) on a cross-owner handout

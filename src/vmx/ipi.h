@@ -50,7 +50,6 @@ class PostedIpiFabric {
   uint64_t TotalThrottled() const { return total_throttled_.load(std::memory_order_relaxed); }
 
   SendPath send_path() const { return send_path_; }
-  void set_send_path(SendPath path) { send_path_ = path; }
 
   // Hypervisor rate limit: IPIs allowed per simulated millisecond per sender
   // before the hypervisor delays the sender. 0 disables throttling.

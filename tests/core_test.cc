@@ -201,7 +201,7 @@ TEST_F(AquilaTest, SequentialAdviceTriggersReadAhead) {
   EXPECT_GT(runtime_->fault_stats().readahead_pages.load(), 0u);
   // The next pages are already cached: minor faults at most, no device read.
   uint64_t majors = runtime_->fault_stats().major_faults.load();
-  for (uint64_t p = 1; p <= runtime_->options().readahead_pages; p++) {
+  for (uint64_t p = 1; p <= Aquila::kReadaheadPages; p++) {
     (*map)->TouchRead(p * kPageSize);
   }
   EXPECT_EQ(runtime_->fault_stats().major_faults.load(), majors);
@@ -534,7 +534,7 @@ TEST_F(AsyncAquilaTest, ReadAheadFillsPublishOnHarvest) {
   EXPECT_GT(runtime_->fault_stats().readahead_pages.load(), 0u);
   // The published pages hit as minor faults at most — no device read.
   uint64_t majors = runtime_->fault_stats().major_faults.load();
-  for (uint64_t p = 1; p <= runtime_->options().readahead_pages; p++) {
+  for (uint64_t p = 1; p <= Aquila::kReadaheadPages; p++) {
     std::vector<uint8_t> buf(4);
     ASSERT_TRUE((*map)->Read(p * kPageSize, std::span(buf)).ok());
     ASSERT_EQ(buf[0], PatternAt(p * kPageSize));

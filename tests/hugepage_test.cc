@@ -229,7 +229,7 @@ TEST_F(HugePageTest, FaultAroundMapsReadaheadNeighbors) {
   // No double prefetch: each scanned page was filled at most once, by a
   // major fault or by one readahead window (+ one trailing window).
   EXPECT_LE(fs.major_faults.load() + fs.readahead_pages.load(),
-            kScanPages + runtime_->options().readahead_pages);
+            kScanPages + Aquila::kReadaheadPages);
   VerifyPattern(*map, 0, kScanPages * kPageSize);
   EXPECT_EQ(runtime_->huge_stats().promotions.load(), 0u);  // threshold 0
   ASSERT_TRUE(runtime_->Unmap(*map).ok());

@@ -271,7 +271,7 @@ INSTANTIATE_TEST_SUITE_P(ServiceTimes, ResourceTest,
 struct AquilaShape {
   uint64_t cache_pages;
   uint32_t eviction_batch;
-  uint32_t readahead;
+  uint32_t readahead;  // nonzero: sequential advice, Aquila::kReadaheadPages window
   int write_percent;
   int reserved = 0;
 };
@@ -288,7 +288,6 @@ TEST_P(AquilaSweepTest, ReadYourWritesUnderEviction) {
   options.cache.capacity_pages = shape.cache_pages;
   options.cache.max_pages = shape.cache_pages * 2;
   options.cache.eviction_batch = shape.eviction_batch;
-  options.readahead_pages = shape.readahead;
   Aquila runtime(options);
 
   DeviceBacking backing(&device, 0, device.capacity_bytes());

@@ -1,9 +1,10 @@
 // Cooperative fault scheduling (src/core/sched.h): the batched request
 // surface over park-and-resume continuations. Covers the resume-once
 // ticket protocol, demand-fill pin preservation across a park, terminal
-// error delivery (device EIO and watchdog-abandoned reads), the blocking
-// fallback, and a multi-thread torture mixing parked fills with eviction
-// and msync churn. Also built as sched_test_tsan.
+// error delivery (device EIO and watchdog-abandoned reads), mixed request
+// kinds, the park-table-full blocking fallback, and a multi-thread torture
+// mixing parked fills with eviction and msync churn. Also built as
+// sched_test_tsan.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,7 +30,6 @@ Aquila::Options CoopOptions(uint64_t cache_pages) {
   options.cache.capacity_pages = cache_pages;
   options.cache.max_pages = cache_pages * 4;
   options.cache.eviction_batch = 64;
-  options.coop_sched = true;
   return options;
 }
 
@@ -42,7 +42,7 @@ MmioRequest TouchReq(MmioRequest::Kind kind, uint64_t offset, uint64_t tag) {
 }
 
 // Submits `requests` and polls until every one completes; returns the
-// completions indexed by user_tag order of arrival.
+// completions in order of arrival (match them by user_tag).
 std::vector<MmioCompletion> RunBatch(MemoryMap* map, std::span<const MmioRequest> requests) {
   EXPECT_TRUE(map->SubmitBatch(requests).ok());
   std::vector<MmioCompletion> out;
@@ -259,18 +259,15 @@ TEST(SchedTest, WatchdogAbandonedFillFailsParkedOwnerCleanly) {
   ASSERT_TRUE(unmap_status.ok()) << unmap_status.message();
 }
 
-// --- Fallbacks ------------------------------------------------------------------
+// --- Mixed kinds and the blocking fallback -------------------------------------
 
-// Without coop_sched the batched surface degrades to the synchronous loop
-// (every request completes during SubmitBatch) with identical results.
-TEST(SchedTest, SyncFallbackWithoutScheduler) {
+// A read touch, a write touch, and a prefetch in one batch: both touches
+// fault, the prefetch never reports one, and the drained map polls empty.
+TEST(SchedTest, MixedTouchAndPrefetchBatch) {
   PmemDevice::Options dopts;
   dopts.capacity_bytes = 16ull << 20;
   PmemDevice device(dopts);
-  Aquila::Options options = CoopOptions(1024);
-  options.coop_sched = false;  // async pipeline on, scheduler off
-  Aquila runtime(options);
-  EXPECT_EQ(runtime.sched(), nullptr);
+  Aquila runtime(CoopOptions(1024));
   const uint64_t kBytes = 2ull << 20;
   DeviceBacking backing(&device, 0, kBytes);
   StatusOr<MemoryMap*> map = runtime.Map(&backing, kBytes, kProtRead | kProtWrite);
@@ -279,18 +276,58 @@ TEST(SchedTest, SyncFallbackWithoutScheduler) {
   std::vector<MmioRequest> batch = {TouchReq(MmioRequest::Kind::kRead, 0, 0),
                                     TouchReq(MmioRequest::Kind::kWrite, kPageSize, 1),
                                     TouchReq(MmioRequest::Kind::kPrefetch, 2 * kPageSize, 2)};
-  ASSERT_TRUE((*map)->SubmitBatch(batch).ok());
-  std::vector<MmioCompletion> buf(8);
-  size_t got = (*map)->Poll(std::span(buf.data(), buf.size()));
-  ASSERT_EQ(got, 3u);
-  for (size_t i = 0; i < got; i++) {
-    EXPECT_TRUE(buf[i].status.ok()) << i;
-    EXPECT_EQ(buf[i].user_tag, i);
+  std::vector<MmioCompletion> done = RunBatch(*map, batch);
+  ASSERT_EQ(done.size(), 3u);
+  std::vector<const MmioCompletion*> by_tag(3, nullptr);
+  for (const MmioCompletion& c : done) {
+    ASSERT_LT(c.user_tag, by_tag.size());
+    EXPECT_EQ(by_tag[c.user_tag], nullptr) << "tag " << c.user_tag << " completed twice";
+    by_tag[c.user_tag] = &c;
   }
-  EXPECT_TRUE(buf[0].faulted);
-  EXPECT_TRUE(buf[1].faulted);
-  EXPECT_FALSE(buf[2].faulted);  // prefetches never report faults
+  for (size_t i = 0; i < by_tag.size(); i++) {
+    ASSERT_NE(by_tag[i], nullptr) << i;
+    EXPECT_TRUE(by_tag[i]->status.ok()) << i;
+  }
+  EXPECT_TRUE(by_tag[0]->faulted);
+  EXPECT_TRUE(by_tag[1]->faulted);
+  EXPECT_FALSE(by_tag[2]->faulted);  // prefetches never report faults
+  std::vector<MmioCompletion> buf(8);
   EXPECT_EQ((*map)->Poll(std::span(buf.data(), buf.size())), 0u);  // drained
+  ASSERT_TRUE(runtime.Unmap(*map).ok());
+}
+
+// One batch of more distinct missing pages than a core's park table holds:
+// the first kMaxParked demand fills park, the rest find the table full
+// (PrePark returns token 0) and block in the fault instead. Every request
+// still completes once, OK and faulted, and the tables drain.
+TEST(SchedTest, ParkTableFullFallsBackToBlocking) {
+  NvmeController::Options copts;
+  copts.capacity_bytes = 64ull << 20;
+  NvmeController ctrl(copts);
+  NvmeDevice nvme(&ctrl);
+  Aquila runtime(CoopOptions(4096));
+  const uint64_t kBytes = 8ull << 20;
+  DeviceBacking backing(&nvme, 0, kBytes);
+  StatusOr<MemoryMap*> map = runtime.Map(&backing, kBytes, kProtRead);
+  ASSERT_TRUE(map.ok());
+  ASSERT_TRUE((*map)->Advise(0, kBytes, Advice::kRandom).ok());
+
+  const uint32_t kBatch = CoreScheduler::kMaxParked + 16;
+  std::vector<MmioRequest> batch;
+  for (uint32_t i = 0; i < kBatch; i++) {
+    batch.push_back(TouchReq(MmioRequest::Kind::kRead, i * kPageSize, i));
+  }
+  std::vector<MmioCompletion> done = RunBatch(*map, batch);
+  ASSERT_EQ(done.size(), kBatch);
+  std::set<uint64_t> tags;
+  for (const MmioCompletion& c : done) {
+    EXPECT_TRUE(c.status.ok()) << c.user_tag;
+    EXPECT_TRUE(c.faulted) << c.user_tag;
+    tags.insert(c.user_tag);
+  }
+  EXPECT_EQ(tags.size(), kBatch);
+  EXPECT_GE(runtime.sched()->parked_total.load(), CoreScheduler::kMaxParked);
+  EXPECT_EQ(runtime.sched()->parked_depth.load(), 0);
   ASSERT_TRUE(runtime.Unmap(*map).ok());
 }
 

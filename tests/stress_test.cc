@@ -706,7 +706,6 @@ TEST(PipelineStressTest, CooperativeBatchPipelineTorture) {
   options.cache.eviction_batch = 64;
   options.cache.freelist.core_queue_threshold = 64;
   options.cache.freelist.move_batch = 32;
-  options.coop_sched = true;
   Aquila runtime(options);
 
   std::atomic<bool> corrupt{false};
